@@ -32,13 +32,10 @@ use block_reorganizer::{BlockReorganizer, ReorganizerConfig};
 use br_datasets::registry::{RealWorldRegistry, ScaleFactor};
 use br_gpu_sim::device::DeviceConfig;
 use br_gpu_sim::profiler::KernelProfile;
-use br_gpu_sim::sim::GpuSimulator;
 use br_obs::Registry;
 use br_service::cache::config_fingerprint;
-use br_service::chain as service_chain;
 use br_service::prelude::*;
 use br_sparse::par;
-use br_spgemm::accum::ScratchPool;
 use br_spgemm::accum::{effective_thresholds_for, RowBins};
 use br_spgemm::estimate::effective_estimator;
 use br_spgemm::pipeline::{run_method, SpgemmMethod, SpgemmRun};
@@ -488,7 +485,7 @@ pub fn chain_cases() -> Vec<(&'static str, Workload)> {
 }
 
 /// Runs one chain case: the workload's program over the dataset at tiny
-/// scale, step by step through the plan-cached service path against a
+/// scale, step by step through the service's executor against a
 /// fresh cache and a private registry — so the recorded hit/miss pattern
 /// is intra-chain and a pure function of the program, independent of what
 /// other grid cells run concurrently.
@@ -496,27 +493,20 @@ fn run_chain_case(dataset: &'static str, workload: Workload) -> ChainCaseReport 
     let a = RealWorldRegistry::get(dataset)
         .unwrap_or_else(|| panic!("chain suite references unknown dataset {dataset:?}"))
         .generate(ScaleFactor::Tiny);
-    let device = DeviceConfig::titan_xp();
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
     let registry = Arc::new(Registry::new());
-    let instruments = service_chain::register_chain_instruments(&registry);
-    let cache = PlanCache::with_registry(8, registry.clone());
-    let request = ChainRequest::workload(0, workload, &a);
-    let outcome = service_chain::execute_chain(
+    let cache = Arc::new(PlanCache::with_registry(8, registry.clone()));
+    let exec = Executor::new(
         0,
-        &device,
-        &sim,
-        &cache,
-        &pool,
+        DeviceConfig::titan_xp(),
+        cache,
+        registry,
         None,
         ReorderStrategy::None,
-        &instruments,
-        &registry,
-        request,
-        0.0,
-    )
-    .unwrap_or_else(|e| panic!("chain case {dataset}/{} failed: {e:?}", workload.spec()));
+    );
+    let request = ChainRequest::workload(0, workload, &a);
+    let outcome = exec
+        .run(request, 0.0)
+        .unwrap_or_else(|e| panic!("chain case {dataset}/{} failed: {e:?}", workload.spec()));
     ChainCaseReport {
         id: format!("{dataset}@tiny/{}/titan-xp", workload.spec()),
         dataset: dataset.to_string(),
@@ -756,7 +746,7 @@ fn run_service_batch(suite: Suite, threads: usize) -> ServiceSection {
         let spec = RealWorldRegistry::get(dataset).expect("registry dataset");
         let a = Arc::new(spec.generate(scale));
         for _ in 0..repeats {
-            jobs.push(JobRequest::square(id, a.clone()).with_label(dataset));
+            jobs.push(ChainRequest::square(id, a.clone()).with_label(dataset));
             id += 1;
         }
     }
@@ -767,7 +757,7 @@ fn run_service_batch(suite: Suite, threads: usize) -> ServiceSection {
     let workers = threads.min(jobs.len()).max(1);
     // Record job-lifecycle counters and spans in the process-wide registry
     // so `bench run --metrics` covers the service batch too.
-    let batch = SpgemmService::run_batch(
+    let batch = SpgemmService::run_chains(
         ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, 8)
             .with_registry(br_obs::global_arc()),
         jobs,

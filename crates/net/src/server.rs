@@ -43,18 +43,14 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use block_reorganizer::plan::{PlanMode, ReorgPlan};
 use block_reorganizer::reorder::ReorderStrategy;
 use block_reorganizer::ReorganizerConfig;
 use br_gpu_sim::device::DeviceConfig;
-use br_gpu_sim::sim::GpuSimulator;
 use br_obs::{lock_recover, Counter, Gauge, Histogram, Registry};
-use br_service::cache::{PlanCache, PlanKey};
-use br_service::chain::{self, ChainInstruments, ChainRequest};
+use br_service::cache::PlanCache;
+use br_service::chain::{ChainOutcome, ChainRequest};
+use br_service::exec::Executor;
 use br_service::job::parse_job_file;
-use br_sparse::CsrMatrix;
-use br_spgemm::accum::ScratchPool;
-use br_spgemm::context::ProblemContext;
 use br_spgemm::estimate::EstimatorConfig;
 
 use crate::frame::{
@@ -175,8 +171,6 @@ struct NetInstruments {
     lane_depth: [Gauge; 2],
     lane_depth_max: [Gauge; 2],
     queue_wait: [Histogram; 2],
-    /// Pre-registered `br_chain_*` families, updated by chain steps.
-    chain: ChainInstruments,
 }
 
 impl NetInstruments {
@@ -250,7 +244,6 @@ impl NetInstruments {
                     &[("lane", l.name())],
                 )
             }),
-            chain: chain::register_chain_instruments(&registry),
             registry,
         }
     }
@@ -304,25 +297,17 @@ impl Admission {
     }
 }
 
-/// The work an admitted request carries: one multiplication (`Submit`) or
-/// a whole chain program (`SubmitChain`). Both ride the same lanes, quota,
-/// shed threshold, and deadline check.
-enum NetWork {
-    Single {
-        a: Arc<CsrMatrix<f64>>,
-        b: Arc<CsrMatrix<f64>>,
-    },
-    Chain(Box<ChainRequest>),
-}
-
-/// An admitted request waiting for (or being executed by) a worker.
+/// An admitted request waiting for (or being executed by) a worker. A
+/// `Submit` carries a one-step request and a `SubmitChain` a whole
+/// program; both ride the same lanes, quota, shed threshold, deadline
+/// check, and executor.
 struct NetJob {
     request_id: u64,
     client_id: String,
-    label: String,
     deadline: Option<Instant>,
-    work: NetWork,
-    config: ReorganizerConfig,
+    /// The frame that carried the request; it picks the reply frame.
+    kind: SubmitKind,
+    request: Box<ChainRequest>,
     reply: mpsc::Sender<Frame>,
     enqueued: Instant,
 }
@@ -334,7 +319,6 @@ struct ConnHandle {
 
 struct Shared {
     queue: LaneQueue<NetJob>,
-    cache: PlanCache,
     admission: Admission,
     instruments: NetInstruments,
     draining: AtomicBool,
@@ -342,8 +326,6 @@ struct Shared {
     next_conn_id: AtomicU64,
     local_addr: SocketAddr,
     reorg_config: ReorganizerConfig,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
     shed_threshold: usize,
     quota: u64,
 }
@@ -402,18 +384,19 @@ impl NetServer {
             .registry
             .clone()
             .unwrap_or_else(|| Arc::new(Registry::new()));
+        let cache = Arc::new(PlanCache::with_registry(
+            config.cache_capacity,
+            registry.clone(),
+        ));
         let shared = Arc::new(Shared {
             queue: LaneQueue::new(config.shed_threshold, config.hold),
-            cache: PlanCache::with_registry(config.cache_capacity, registry.clone()),
             admission: Admission::new(config.quota),
-            instruments: NetInstruments::new(registry),
+            instruments: NetInstruments::new(registry.clone()),
             draining: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
             local_addr,
             reorg_config: config.config,
-            estimator: config.estimator,
-            reorder: config.reorder,
             shed_threshold: config.shed_threshold.max(1),
             quota: config.quota.max(1),
         });
@@ -422,10 +405,18 @@ impl NetServer {
             .into_iter()
             .enumerate()
             .map(|(index, device)| {
+                let exec = Executor::new(
+                    index,
+                    device,
+                    cache.clone(),
+                    registry.clone(),
+                    config.estimator,
+                    config.reorder,
+                );
                 let shared = shared.clone();
                 thread::Builder::new()
                     .name(format!("br-net-worker-{index}"))
-                    .spawn(move || worker_loop(index, device, shared))
+                    .spawn(move || worker_loop(exec, shared))
                     .expect("failed to spawn net worker")
             })
             .collect();
@@ -669,8 +660,8 @@ fn handle_submit(
         );
         return;
     }
-    let (label, work) = match materialize_spec(spec, kind, request_id, &shared.reorg_config) {
-        Ok(job) => job,
+    let request = match materialize_spec(spec, kind, request_id, shared.reorg_config) {
+        Ok(request) => request,
         Err(message) => {
             reject(RejectCode::BadSpec, message);
             return;
@@ -691,10 +682,9 @@ fn handle_submit(
     let job = NetJob {
         request_id,
         client_id: client.to_string(),
-        label,
         deadline,
-        work,
-        config: shared.reorg_config,
+        kind,
+        request: Box::new(request),
         reply: tx.clone(),
         enqueued: Instant::now(),
     };
@@ -726,15 +716,15 @@ fn handle_submit(
     }
 }
 
-/// Parses a one-line job spec and loads its operands (or builds the chain
-/// request, for `SubmitChain`). The spec's `chain=` key must agree with
-/// the frame type that carried it.
+/// Parses a one-line job spec and builds its request. The wire keeps its
+/// own rules on top of the job-file format: one line, `repeat=1`, and a
+/// `chain=` key exactly when the frame is a `SubmitChain`.
 fn materialize_spec(
     spec: &str,
     kind: SubmitKind,
     request_id: u64,
-    config: &ReorganizerConfig,
-) -> Result<(String, NetWork), String> {
+    config: ReorganizerConfig,
+) -> Result<ChainRequest, String> {
     let specs = parse_job_file(spec)?;
     let [one] = specs.as_slice() else {
         return Err("a Submit frame carries exactly one job line".to_string());
@@ -742,35 +732,18 @@ fn materialize_spec(
     if one.repeat != 1 {
         return Err("repeat must be 1 over the wire (send one Submit per job)".to_string());
     }
-    match (kind, one.chain) {
-        (SubmitKind::Single, Some(_)) => {
+    match (kind, one.chain.is_some()) {
+        (SubmitKind::Single, true) => {
             Err("chain= specs travel in SubmitChain frames, not Submit".to_string())
         }
-        (SubmitKind::Chain, None) => Err(
+        (SubmitKind::Chain, false) => Err(
             "a SubmitChain spec needs a chain= key (use Submit for one multiplication)".to_string(),
         ),
-        (SubmitKind::Single, None) => {
-            let a = Arc::new(one.source.load()?);
-            let b = match &one.pair {
-                Some(src) => Arc::new(src.load()?),
-                None => a.clone(),
-            };
-            Ok((one.source.label(), NetWork::Single { a, b }))
-        }
-        (SubmitKind::Chain, Some(workload)) => {
-            let base = one.source.load()?;
-            let label = format!("{}:{}", one.source.label(), workload.spec());
-            let request = ChainRequest::workload(request_id, workload, &base)
-                .with_label(label.clone())
-                .with_config(*config);
-            Ok((label, NetWork::Chain(Box::new(request))))
-        }
+        _ => one.request(request_id, config),
     }
 }
 
-fn worker_loop(index: usize, device: DeviceConfig, shared: Arc<Shared>) {
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
+fn worker_loop(exec: Executor, shared: Arc<Shared>) {
     let i = &shared.instruments;
     while let Some((lane, job)) = shared.queue.pop() {
         shared.set_depth_gauges();
@@ -787,134 +760,51 @@ fn worker_loop(index: usize, device: DeviceConfig, shared: Arc<Shared>) {
                 continue;
             }
         }
-        let response = match &job.work {
-            NetWork::Single { a, b } => execute_job(
-                index,
-                &device,
-                &sim,
-                &shared.cache,
-                &pool,
-                shared.estimator,
-                shared.reorder,
-                &job,
-                a,
-                b,
-            ),
-            NetWork::Chain(request) => execute_chain_job(
-                index,
-                &device,
-                &sim,
-                &shared,
-                &pool,
-                job.request_id,
-                request.as_ref().clone(),
-                job.enqueued,
-            ),
+        let queue_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
+        let response = match exec.run(*job.request, queue_ms) {
+            Ok(outcome) => {
+                i.results[lane.index()].inc();
+                reply_frame(job.kind, job.request_id, &outcome)
+            }
+            Err(e) => {
+                i.reject_failed.inc();
+                Frame::Reject {
+                    request_id: job.request_id,
+                    code: RejectCode::Failed,
+                    message: e.message,
+                }
+            }
         };
-        match &response {
-            Frame::Result { .. } | Frame::ChainResult { .. } => i.results[lane.index()].inc(),
-            Frame::Reject { .. } => i.reject_failed.inc(),
-            _ => unreachable!("workers only produce Result, ChainResult, or Reject"),
-        }
         let _ = job.reply.send(response);
         shared.admission.release(&job.client_id);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_job(
-    worker: usize,
-    device: &DeviceConfig,
-    sim: &GpuSimulator,
-    cache: &PlanCache,
-    pool: &ScratchPool<f64>,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
-    job: &NetJob,
-    a: &Arc<CsrMatrix<f64>>,
-    b: &Arc<CsrMatrix<f64>>,
-) -> Frame {
-    let fail = |message: String| Frame::Reject {
-        request_id: job.request_id,
-        code: RejectCode::Failed,
-        message,
-    };
-    let ctx = match ProblemContext::from_shared(a.clone(), b.clone()) {
-        Ok(ctx) => ctx,
-        Err(e) => return fail(format!("invalid operands: {e}")),
-    };
-    let key = PlanKey::with_options(
-        ctx.signature(),
-        &device.name,
-        &job.config,
-        estimator.as_ref(),
-        reorder,
-    );
-    // Single-flight get_or_build keeps hit/miss counters a pure function
-    // of the admitted job multiset, independent of worker count.
-    let (plan, cache_hit) = cache.get_or_build(&key, || {
-        Arc::new(match estimator {
-            Some(est) => {
-                ReorgPlan::build_estimated_with_reorder(&ctx, &job.config, device, &est, reorder)
+/// The answer to a completed request, in the shape of the frame that
+/// carried it: `Result` for a `Submit` (always one step), `ChainResult`
+/// with per-step summaries for a `SubmitChain`.
+fn reply_frame(kind: SubmitKind, request_id: u64, outcome: &ChainOutcome) -> Frame {
+    let worker = outcome.worker as u32;
+    let nnz_c = outcome.result.nnz() as u64;
+    match kind {
+        SubmitKind::Single => {
+            let step = &outcome.steps[0];
+            Frame::Result {
+                request_id,
+                label: outcome.label.clone(),
+                worker,
+                cache_hit: step.cache_hit,
+                total_ms: step.total_ms,
+                gflops: step.gflops,
+                nnz_c,
             }
-            None => ReorgPlan::build_with_reorder(&ctx, &job.config, device, reorder),
-        })
-    });
-    let mode = if cache_hit {
-        PlanMode::Cached
-    } else {
-        PlanMode::Cold
-    };
-    match plan.execute_with_scratch(sim, &ctx, mode, Some(pool)) {
-        Ok(run) => Frame::Result {
-            request_id: job.request_id,
-            label: job.label.clone(),
-            worker: worker as u32,
-            cache_hit,
-            total_ms: run.total_ms,
-            gflops: run.gflops(),
-            nnz_c: run.result.nnz() as u64,
-        },
-        Err(e) => fail(format!("execution failed: {e}")),
-    }
-}
-
-/// Runs one chain through [`br_service::chain::execute_chain`] — every
-/// step goes through the same plan cache the single jobs use, and the
-/// `br_chain_*` instruments registered at server start pick up the
-/// per-step counters. A failed step answers with `Reject(Failed)` naming
-/// the step.
-#[allow(clippy::too_many_arguments)]
-fn execute_chain_job(
-    worker: usize,
-    device: &DeviceConfig,
-    sim: &GpuSimulator,
-    shared: &Shared,
-    pool: &ScratchPool<f64>,
-    request_id: u64,
-    request: ChainRequest,
-    enqueued: Instant,
-) -> Frame {
-    let queue_ms = enqueued.elapsed().as_secs_f64() * 1e3;
-    match chain::execute_chain(
-        worker,
-        device,
-        sim,
-        &shared.cache,
-        pool,
-        shared.estimator,
-        shared.reorder,
-        &shared.instruments.chain,
-        &shared.instruments.registry,
-        request,
-        queue_ms,
-    ) {
-        Ok(outcome) => Frame::ChainResult {
+        }
+        SubmitKind::Chain => Frame::ChainResult {
             request_id,
             label: outcome.label.clone(),
-            worker: worker as u32,
+            worker,
             total_ms: outcome.total_ms,
-            nnz_c: outcome.result.nnz() as u64,
+            nnz_c,
             steps: outcome
                 .steps
                 .iter()
@@ -927,11 +817,6 @@ fn execute_chain_job(
                     output_nnz: s.output_nnz as u64,
                 })
                 .collect(),
-        },
-        Err(e) => Frame::Reject {
-            request_id,
-            code: RejectCode::Failed,
-            message: e.message,
         },
     }
 }

@@ -412,6 +412,64 @@ fn chains_round_trip_with_per_step_cache_accounting() {
     assert!(metrics.contains("br_chain_structure_churn_total 5"));
 }
 
+/// A `Submit` runs as a one-step request through the same executor as an
+/// in-process service: every `Result` field equals the in-process run of
+/// the same spec, miss then hit.
+#[test]
+fn submit_result_matches_the_in_process_one_step_run() {
+    use br_service::job::parse_job_file;
+    use br_service::service::{ServiceConfig, SpgemmService};
+
+    let spec = "rmat=7,6 seed=31";
+    let server = NetServer::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let server = thread::spawn(move || server.run());
+    let mut c = NetClient::connect(&addr, "differential").unwrap();
+    let mut wire = Vec::new();
+    for id in 0..2u64 {
+        c.submit(id, Lane::Interactive, 0, spec).unwrap();
+        match c.next_response().unwrap() {
+            Some(frame @ Frame::Result { .. }) => wire.push(frame),
+            other => panic!("expected Result, got {other:?}"),
+        }
+    }
+    c.shutdown().unwrap();
+    server.join().unwrap();
+
+    let one = &parse_job_file(spec).unwrap()[0];
+    let first = one.request(0, ServerConfig::default().config).unwrap();
+    let mut second = first.clone();
+    second.id = 1;
+    let batch = SpgemmService::run_chains(ServiceConfig::default(), vec![first, second]);
+    assert!(batch.failures.is_empty(), "{:?}", batch.failures);
+    for (frame, outcome) in wire.iter().zip(&batch.chains) {
+        let Frame::Result {
+            request_id,
+            label,
+            worker,
+            cache_hit,
+            total_ms,
+            gflops,
+            nnz_c,
+        } = frame
+        else {
+            unreachable!()
+        };
+        let [step] = outcome.steps.as_slice() else {
+            panic!("a Submit is one step, got {}", outcome.steps.len())
+        };
+        assert_eq!(*request_id, outcome.id);
+        assert_eq!(label, &outcome.label);
+        assert_eq!(*worker as usize, outcome.worker);
+        assert_eq!(*cache_hit, step.cache_hit);
+        assert_eq!(total_ms.to_bits(), step.total_ms.to_bits());
+        assert_eq!(gflops.to_bits(), step.gflops.to_bits());
+        assert_eq!(*nnz_c, outcome.result.nnz() as u64);
+    }
+    let hits: Vec<bool> = batch.chains.iter().map(|c| c.steps[0].cache_hit).collect();
+    assert_eq!(hits, [false, true]);
+}
+
 #[test]
 fn chain_families_export_at_zero_before_any_chain_runs() {
     let server = NetServer::bind("127.0.0.1:0", held_config(1, 4, 4)).unwrap();

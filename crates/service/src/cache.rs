@@ -174,6 +174,13 @@ struct Inner {
     /// (single-flight: later requesters wait instead of rebuilding).
     building: HashSet<PlanKey>,
     tick: u64,
+    /// This cache's own hit/miss/eviction counts. A shared registry (e.g.
+    /// the process-wide one) hands every cache the *same* named counters,
+    /// so [`PlanCache::stats`] reads these instead, while the exposition
+    /// keeps the cumulative totals.
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
 impl Inner {
@@ -215,13 +222,6 @@ pub struct PlanCache {
     misses: Counter,
     evictions: Counter,
     single_flight_waits: Counter,
-    /// Counter readings at construction. A shared registry (e.g. the
-    /// process-wide one) hands every cache the *same* named counters, so
-    /// [`PlanCache::stats`] subtracts these to report this cache's own
-    /// activity while the exposition keeps the cumulative totals.
-    hits_base: u64,
-    misses_base: u64,
-    evictions_base: u64,
 }
 
 /// Removes `key` from the building set and wakes waiters when dropped —
@@ -272,13 +272,15 @@ impl PlanCache {
             "Requests that blocked on another worker's in-flight build (scheduling-dependent).",
             &[],
         );
-        let (hits_base, misses_base, evictions_base) = (hits.get(), misses.get(), evictions.get());
         PlanCache {
             capacity: capacity.max(1),
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 building: HashSet::new(),
                 tick: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
             }),
             ready: Condvar::new(),
             registry,
@@ -286,9 +288,6 @@ impl PlanCache {
             misses,
             evictions,
             single_flight_waits,
-            hits_base,
-            misses_base,
-            evictions_base,
         }
     }
 
@@ -306,10 +305,12 @@ impl PlanCache {
             Some(entry) => {
                 entry.last_used = tick;
                 let plan = entry.plan.clone();
+                inner.hits += 1;
                 self.hits.inc();
                 Some(plan)
             }
             None => {
+                inner.misses += 1;
                 self.misses.inc();
                 None
             }
@@ -323,6 +324,7 @@ impl PlanCache {
         inner.tick += 1;
         let tick = inner.tick;
         if inner.make_room_for(&key, self.capacity) {
+            inner.evictions += 1;
             self.evictions.inc();
         }
         inner.map.insert(
@@ -361,6 +363,7 @@ impl PlanCache {
                 entry.last_used = tick;
                 let plan = entry.plan.clone();
                 if !counted_hit {
+                    inner.hits += 1;
                     self.hits.inc();
                 }
                 return (plan, true);
@@ -372,6 +375,7 @@ impl PlanCache {
             // outcome is already determined) and wait for it to land. The
             // wait itself is scheduling-dependent, hence a timing counter.
             if !counted_hit {
+                inner.hits += 1;
                 self.hits.inc();
                 self.single_flight_waits.inc();
                 counted_hit = true;
@@ -382,6 +386,7 @@ impl PlanCache {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
         // This call is the builder for `key`.
+        inner.misses += 1;
         self.misses.inc();
         inner.building.insert(key.clone());
         drop(inner);
@@ -393,6 +398,7 @@ impl PlanCache {
             inner.tick += 1;
             let tick = inner.tick;
             if inner.make_room_for(key, self.capacity) {
+                inner.evictions += 1;
                 self.evictions.inc();
             }
             inner.map.insert(
@@ -412,9 +418,9 @@ impl PlanCache {
     pub fn stats(&self) -> CacheStats {
         let inner = lock_recover(&self.inner);
         CacheStats {
-            hits: self.hits.get() - self.hits_base,
-            misses: self.misses.get() - self.misses_base,
-            evictions: self.evictions.get() - self.evictions_base,
+            hits: inner.hits,
+            misses: inner.misses,
+            evictions: inner.evictions,
             entries: inner.map.len(),
             capacity: self.capacity,
         }

@@ -1,47 +1,35 @@
-//! Chain jobs: multi-step [`br_workloads::ChainProgram`]s executed through
-//! the plan-cached service stack.
+//! Requests and outcomes: every request is a [`br_workloads::ChainProgram`].
 //!
-//! A [`ChainRequest`] carries a whole program (iterated squaring, triangle
-//! counting, Markov clustering, the Galerkin triple product, or a generic
-//! parsed spec) plus its `Arc`-shared input matrices. [`execute_chain`]
-//! runs it step by step on one worker: every step goes through the *same*
-//! plan path as a standalone job — [`ProblemContext::from_shared`] →
-//! [`PlanKey::with_options`] → [`PlanCache::get_or_build`] →
-//! [`ReorgPlan::execute_with_scratch`] — so each step gets its own
-//! estimator/reorder decision and its own cache hit or miss. Steps that
-//! repeat an operand structure already planned (the Galerkin refresh
-//! products, repeats of a converged Markov iterate) hit the cache;
-//! structure-churning steps (iterated squaring) miss every time.
+//! A [`ChainRequest`] carries a program plus its `Arc`-shared input
+//! matrices. A single multiplication is the one-step program
+//! ([`ChainRequest::square`], [`ChainRequest::multiply`]); the canonical
+//! workloads (iterated squaring, triangle counting, Markov clustering, the
+//! Galerkin triple product) and generic parsed specs are longer ones. The
+//! [`crate::exec::Executor`] runs every request step by step through the
+//! plan cache and reports a [`ChainOutcome`] with one [`StepOutcome`] per
+//! step. Steps that repeat an operand structure already planned (the
+//! Galerkin refresh products, repeats of a converged Markov iterate,
+//! repeated submissions) hit the cache; structure-churning steps (iterated
+//! squaring) miss every time.
 //!
 //! Instrumentation: [`register_chain_instruments`] pre-registers the
 //! `br_chain_*` families — steps executed, per-step plan-cache hits and
 //! misses, a structure-churn counter (steps whose operand structures were
-//! first seen within the chain), and a fill-in histogram — so expositions
-//! show every family at zero before the first chain runs.
+//! first seen within the request), and a fill-in histogram — so
+//! expositions show every family at zero before the first step runs.
+//! They count every executed step, one-step requests included.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use block_reorganizer::plan::{PlanMode, ReorgPlan};
-use block_reorganizer::reorder::ReorderStrategy;
 use block_reorganizer::ReorganizerConfig;
-use br_gpu_sim::device::DeviceConfig;
-use br_gpu_sim::sim::GpuSimulator;
 use br_obs::{Counter, Histogram, Registry};
 use br_sparse::CsrMatrix;
-use br_spgemm::accum::ScratchPool;
-use br_spgemm::context::ProblemContext;
-use br_spgemm::estimate::EstimatorConfig;
 use br_workloads::{ChainProgram, Workload};
 
-use crate::cache::{PlanCache, PlanKey};
-use crate::job::JobError;
-
-/// One multi-step chain request.
+/// One request: a chain program over its inputs.
 #[derive(Debug, Clone)]
 pub struct ChainRequest {
-    /// Caller-chosen identifier, echoed in the outcome. Chain ids share the
-    /// namespace of job ids within one batch.
+    /// Caller-chosen identifier, echoed in the outcome.
     pub id: u64,
     /// Human-readable label for reports (workload spec, file stem, …).
     pub label: String,
@@ -54,6 +42,16 @@ pub struct ChainRequest {
 }
 
 impl ChainRequest {
+    /// A squaring request (`C = A²`) under the default configuration.
+    pub fn square(id: u64, a: Arc<CsrMatrix<f64>>) -> Self {
+        Self::program(id, ChainProgram::one_step(true), vec![a]).with_label(format!("job-{id}"))
+    }
+
+    /// A general `A · B` request under the default configuration.
+    pub fn multiply(id: u64, a: Arc<CsrMatrix<f64>>, b: Arc<CsrMatrix<f64>>) -> Self {
+        Self::program(id, ChainProgram::one_step(false), vec![a, b]).with_label(format!("job-{id}"))
+    }
+
     /// A canonical-workload request over base matrix `base`, under the
     /// default configuration.
     pub fn workload(id: u64, workload: Workload, base: &CsrMatrix<f64>) -> Self {
@@ -91,7 +89,7 @@ impl ChainRequest {
     }
 }
 
-/// What one executed chain step reports.
+/// What one executed step reports.
 #[derive(Debug, Clone)]
 pub struct StepOutcome {
     /// Step index within the program.
@@ -106,6 +104,10 @@ pub struct StepOutcome {
     pub total_ms: f64,
     /// Simulated precalculation-kernel time, ms (0 on cache hits).
     pub precalc_ms: f64,
+    /// Simulated expansion-kernel time, ms.
+    pub expansion_ms: f64,
+    /// Simulated merge-kernel time, ms.
+    pub merge_ms: f64,
     /// Host-side preprocessing charged to the step, ms (0 on cache hits).
     pub preprocess_ms: f64,
     /// Achieved simulated GFLOPS.
@@ -117,18 +119,18 @@ pub struct StepOutcome {
     /// Fill-in of the multiply: `product_nnz * 1000 / nnz(A)`.
     pub fill_in_permille: u64,
     /// Whether the step's operand structures were first seen within this
-    /// chain (the chain-local structure-churn signal).
+    /// request (the request-local structure-churn signal).
     pub fresh_structure: bool,
 }
 
-/// What the service reports for one completed chain.
+/// What the service reports for one completed request.
 #[derive(Debug, Clone)]
 pub struct ChainOutcome {
     /// Identifier from the request.
     pub id: u64,
     /// Label from the request.
     pub label: String,
-    /// Index of the worker that executed the chain.
+    /// Index of the worker that executed the request.
     pub worker: usize,
     /// Name of the worker's device.
     pub device: String,
@@ -136,9 +138,9 @@ pub struct ChainOutcome {
     pub steps: Vec<StepOutcome>,
     /// Summed simulated latency across all steps, ms.
     pub total_ms: f64,
-    /// Wall-clock time the chain spent queued, ms.
+    /// Wall-clock time the request spent queued, ms.
     pub queue_ms: f64,
-    /// Wall-clock time the worker spent on the chain, ms.
+    /// Wall-clock time the worker spent on the request, ms.
     pub host_ms: f64,
     /// The final step's output.
     pub result: Arc<CsrMatrix<f64>>,
@@ -165,7 +167,7 @@ impl ChainOutcome {
 /// Handles to the pre-registered `br_chain_*` instrument families.
 #[derive(Clone)]
 pub struct ChainInstruments {
-    /// `br_chain_steps_total` — chain steps executed (one SpGEMM each).
+    /// `br_chain_steps_total` — steps executed (one SpGEMM each).
     pub steps: Counter,
     /// `br_chain_step_cache_hits_total` — steps served a cached plan.
     pub cache_hits: Counter,
@@ -180,12 +182,12 @@ pub struct ChainInstruments {
 
 /// Pre-registers every `br_chain_*` family in `registry` (idempotent —
 /// re-registration returns the existing cells), so expositions show the
-/// families at zero before any chain runs.
+/// families at zero before any step runs.
 pub fn register_chain_instruments(registry: &Registry) -> ChainInstruments {
     ChainInstruments {
         steps: registry.counter(
             "br_chain_steps_total",
-            "Chain steps executed (one SpGEMM each).",
+            "Steps executed (one SpGEMM each), single multiplications included.",
             &[],
         ),
         cache_hits: registry.counter(
@@ -209,134 +211,6 @@ pub fn register_chain_instruments(registry: &Registry) -> ChainInstruments {
             &[],
         ),
     }
-}
-
-/// Timing/plan metadata the runner threads through
-/// [`ChainProgram::execute_with`] per step.
-struct StepMeta {
-    cache_hit: bool,
-    method: &'static str,
-    total_ms: f64,
-    precalc_ms: f64,
-    preprocess_ms: f64,
-    gflops: f64,
-}
-
-/// Runs one chain on one worker through the plan-cached stack. Every step
-/// replicates the standalone-job path exactly, so per-step cache counters
-/// and simulated timings mean the same thing they mean for plain jobs.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_chain(
-    worker: usize,
-    device: &DeviceConfig,
-    sim: &GpuSimulator,
-    cache: &PlanCache,
-    pool: &ScratchPool<f64>,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
-    instruments: &ChainInstruments,
-    registry: &Registry,
-    request: ChainRequest,
-    queue_ms: f64,
-) -> Result<Box<ChainOutcome>, JobError> {
-    let t0 = Instant::now();
-    let chain_span = registry.span("chain");
-    let run = request
-        .program
-        .execute_with(&request.inputs, |_, _, a, b| {
-            let ctx = ProblemContext::from_shared(a.clone(), b.clone())
-                .map_err(|e| format!("invalid operands: {e}"))?;
-            let key = PlanKey::with_options(
-                ctx.signature(),
-                &device.name,
-                &request.config,
-                estimator.as_ref(),
-                reorder,
-            );
-            let (plan, cache_hit) = {
-                let _plan_span = registry.span("plan");
-                cache.get_or_build(&key, || {
-                    Arc::new(match estimator {
-                        Some(est) => ReorgPlan::build_estimated_with_reorder(
-                            &ctx,
-                            &request.config,
-                            device,
-                            &est,
-                            reorder,
-                        ),
-                        None => {
-                            ReorgPlan::build_with_reorder(&ctx, &request.config, device, reorder)
-                        }
-                    })
-                })
-            };
-            let mode = if cache_hit {
-                PlanMode::Cached
-            } else {
-                PlanMode::Cold
-            };
-            let run = {
-                let _exec_span = registry.span("execute");
-                plan.execute_with_scratch(sim, &ctx, mode, Some(pool))
-                    .map_err(|e| format!("execution failed: {e}"))?
-            };
-            let meta = StepMeta {
-                cache_hit,
-                method: plan.method.name(),
-                total_ms: run.total_ms,
-                precalc_ms: run.phase_ms("precalc"),
-                preprocess_ms: run.preprocess_ms,
-                gflops: run.gflops(),
-            };
-            Ok((run.result, meta))
-        })
-        .map_err(|e: br_workloads::ChainError<String>| JobError {
-            id: request.id,
-            label: request.label.clone(),
-            message: format!("chain failed: {e}"),
-        })?;
-    drop(chain_span);
-
-    let mut steps = Vec::with_capacity(run.steps.len());
-    let mut total_ms = 0.0;
-    for record in run.steps {
-        instruments.steps.inc();
-        if record.meta.cache_hit {
-            instruments.cache_hits.inc();
-        } else {
-            instruments.cache_misses.inc();
-        }
-        if record.fresh_structure {
-            instruments.structure_churn.inc();
-        }
-        instruments.fill_in.observe(record.fill_in_permille);
-        total_ms += record.meta.total_ms;
-        steps.push(StepOutcome {
-            index: record.index,
-            label: record.label,
-            cache_hit: record.meta.cache_hit,
-            method: record.meta.method,
-            total_ms: record.meta.total_ms,
-            precalc_ms: record.meta.precalc_ms,
-            preprocess_ms: record.meta.preprocess_ms,
-            gflops: record.meta.gflops,
-            product_nnz: record.product_nnz,
-            output_nnz: record.output_nnz,
-            fill_in_permille: record.fill_in_permille,
-            fresh_structure: record.fresh_structure,
-        });
-    }
-    Ok(Box::new(ChainOutcome {
-        id: request.id,
-        label: request.label,
-        worker,
-        device: device.name.clone(),
-        steps,
-        total_ms,
-        queue_ms,
-        host_ms: t0.elapsed().as_secs_f64() * 1e3,
-        result: run.result,
-    }))
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
-//! Job descriptions, outcomes, and the `blockreorg-cli batch` job-file
-//! format.
+//! Job errors and the `blockreorg-cli batch` job-file format.
 //!
-//! A [`JobRequest`] is what the service executes: an operand pair (shared
-//! `Arc`s, so a batch of repeats holds one copy of the data) plus a
-//! reorganizer configuration. A [`JobSpec`] is the *declarative* form read
-//! from a job file — a matrix source plus a repeat count — which
-//! [`expand_jobs`] realizes into requests.
+//! A [`JobSpec`] is the *declarative* form of a request read from a job
+//! file or a wire `Submit`/`SubmitChain` frame — a matrix source, an
+//! optional pair or chain workload, and a repeat count.
+//! [`JobSpec::request`] realizes one spec into a
+//! [`crate::chain::ChainRequest`] (a one-step product for a plain line, the
+//! canonical workload for a `chain=` line); [`expand_requests`] realizes a
+//! whole file, repeats included.
 //!
 //! Job-file format: one job per line, `key=value` tokens separated by
 //! whitespace, `#` starts a comment. Exactly one source key per line:
@@ -21,13 +22,11 @@
 //! ```
 //!
 //! A `chain=` line turns the source into the *base matrix* of a canonical
-//! [`br_workloads::Workload`]; [`expand_submissions`] realizes such lines
-//! into [`crate::chain::ChainRequest`]s (and plain lines into
-//! [`JobRequest`]s) sharing one id namespace.
+//! [`br_workloads::Workload`]. Plain and `chain=` lines mix freely and
+//! share one id namespace in file order.
 
 use std::sync::Arc;
 
-use block_reorganizer::pass::ReorgStats;
 use block_reorganizer::ReorganizerConfig;
 use br_datasets::registry::{RealWorldRegistry, ScaleFactor};
 use br_datasets::rmat::{rmat, RmatConfig};
@@ -36,89 +35,6 @@ use br_sparse::CsrMatrix;
 use br_workloads::Workload;
 
 use crate::chain::ChainRequest;
-
-/// One multiplication request `C = A · B`.
-#[derive(Debug, Clone)]
-pub struct JobRequest {
-    /// Caller-chosen identifier, echoed in the outcome.
-    pub id: u64,
-    /// Human-readable label for reports (dataset name, file stem, …).
-    pub label: String,
-    /// Left operand.
-    pub a: Arc<CsrMatrix<f64>>,
-    /// Right operand.
-    pub b: Arc<CsrMatrix<f64>>,
-    /// Reorganizer configuration for this job.
-    pub config: ReorganizerConfig,
-}
-
-impl JobRequest {
-    /// A squaring request (`C = A²`) under the default configuration.
-    pub fn square(id: u64, a: Arc<CsrMatrix<f64>>) -> Self {
-        JobRequest {
-            id,
-            label: format!("job-{id}"),
-            b: a.clone(),
-            a,
-            config: ReorganizerConfig::default(),
-        }
-    }
-
-    /// A general `A · B` request under the default configuration.
-    pub fn multiply(id: u64, a: Arc<CsrMatrix<f64>>, b: Arc<CsrMatrix<f64>>) -> Self {
-        JobRequest {
-            id,
-            label: format!("job-{id}"),
-            a,
-            b,
-            config: ReorganizerConfig::default(),
-        }
-    }
-
-    /// Replaces the label (builder-style).
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-}
-
-/// What the service reports for one completed job.
-#[derive(Debug, Clone)]
-pub struct JobOutcome {
-    /// Identifier from the request.
-    pub id: u64,
-    /// Label from the request.
-    pub label: String,
-    /// Index of the worker that executed the job.
-    pub worker: usize,
-    /// Name of the worker's device.
-    pub device: String,
-    /// Whether the reorganization plan came from the cache.
-    pub cache_hit: bool,
-    /// Simulated end-to-end latency in ms (kernels + charged preprocessing).
-    pub total_ms: f64,
-    /// Simulated precalculation-kernel time in ms (0 on cache hits).
-    pub precalc_ms: f64,
-    /// Simulated expansion-kernel time in ms.
-    pub expansion_ms: f64,
-    /// Simulated merge-kernel time in ms.
-    pub merge_ms: f64,
-    /// Host-side B-Splitting preprocessing charged to this job, ms (0 on
-    /// cache hits — the plan already paid it).
-    pub preprocess_ms: f64,
-    /// Wall-clock time the job spent queued, ms.
-    pub queue_ms: f64,
-    /// Wall-clock time the worker spent on the job, ms.
-    pub host_ms: f64,
-    /// Achieved simulated GFLOPS.
-    pub gflops: f64,
-    /// `nnz(C)`.
-    pub nnz_c: usize,
-    /// Reorganization statistics of the executed plan.
-    pub stats: ReorgStats,
-    /// The numeric result.
-    pub result: CsrMatrix<f64>,
-}
 
 /// A failed job.
 #[derive(Debug, Clone)]
@@ -308,69 +224,45 @@ fn parse_job_line(line: &str) -> Result<JobSpec, String> {
     })
 }
 
-/// Jobs and chains realized from one job file, sharing an id namespace in
-/// file order.
-#[derive(Debug, Clone, Default)]
-pub struct Submissions {
-    /// Single-multiplication requests.
-    pub jobs: Vec<JobRequest>,
-    /// Chain requests (`chain=` lines).
-    pub chains: Vec<ChainRequest>,
-}
-
-/// Realizes specs into requests. Repeats of one spec share the same `Arc`'d
-/// operands, so the service sees structurally identical submissions — the
-/// plan-cache amortization case. `chain=` lines are rejected here; use
-/// [`expand_submissions`] when the file may mix jobs and chains.
-pub fn expand_jobs(
-    specs: &[JobSpec],
-    config: ReorganizerConfig,
-) -> Result<Vec<JobRequest>, String> {
-    if specs.iter().any(|s| s.chain.is_some()) {
-        return Err("job list contains chain= lines; use expand_submissions".to_string());
-    }
-    Ok(expand_submissions(specs, config)?.jobs)
-}
-
-/// Realizes specs into jobs *and* chains. Chain repeats share the same
-/// prepared inputs, so a repeated chain replays identical structures — the
-/// chain-level plan-cache amortization case.
-pub fn expand_submissions(
-    specs: &[JobSpec],
-    config: ReorganizerConfig,
-) -> Result<Submissions, String> {
-    let mut out = Submissions::default();
-    let mut id = 0u64;
-    for spec in specs {
-        let a = Arc::new(spec.source.load()?);
-        let base = spec.source.label();
-        if let Some(workload) = spec.chain {
-            let inputs = workload.prepare_inputs(&a);
-            for k in 0..spec.repeat {
-                out.chains.push(ChainRequest {
-                    id,
-                    label: format!("{base}:{}[{}/{}]", workload.spec(), k + 1, spec.repeat),
-                    program: workload.program(),
-                    inputs: inputs.clone(),
-                    config,
-                });
-                id += 1;
+impl JobSpec {
+    /// Loads the spec's matrices and builds its request under `config`:
+    /// a one-step product for a plain line, the canonical workload over the
+    /// source for a `chain=` line. The label is the source label, plus the
+    /// workload spec for chains. `repeat` is not applied here.
+    pub fn request(&self, id: u64, config: ReorganizerConfig) -> Result<ChainRequest, String> {
+        let a = self.source.load()?;
+        let label = self.source.label();
+        let request = match self.chain {
+            Some(workload) => ChainRequest::workload(id, workload, &a)
+                .with_label(format!("{label}:{}", workload.spec())),
+            None => {
+                let a = Arc::new(a);
+                match &self.pair {
+                    Some(src) => ChainRequest::multiply(id, a, Arc::new(src.load()?)),
+                    None => ChainRequest::square(id, a),
+                }
+                .with_label(label)
             }
-            continue;
-        }
-        let b = match &spec.pair {
-            Some(src) => Arc::new(src.load()?),
-            None => a.clone(),
         };
+        Ok(request.with_config(config))
+    }
+}
+
+/// Realizes specs into requests, ids in file order. Repeats of one spec
+/// share the same `Arc`'d inputs, so the service sees structurally
+/// identical submissions — the plan-cache amortization case.
+pub fn expand_requests(
+    specs: &[JobSpec],
+    config: ReorganizerConfig,
+) -> Result<Vec<ChainRequest>, String> {
+    let mut out = Vec::new();
+    for spec in specs {
+        let first = spec.request(0, config)?;
         for k in 0..spec.repeat {
-            out.jobs.push(JobRequest {
-                id,
-                label: format!("{base}[{}/{}]", k + 1, spec.repeat),
-                a: a.clone(),
-                b: b.clone(),
-                config,
-            });
-            id += 1;
+            let mut request = first.clone();
+            request.id = out.len() as u64;
+            request.label = format!("{}[{}/{}]", first.label, k + 1, spec.repeat);
+            out.push(request);
         }
     }
     Ok(out)
@@ -445,38 +337,33 @@ mod tests {
     }
 
     #[test]
-    fn expand_submissions_splits_jobs_and_chains_on_one_id_namespace() {
+    fn expand_mixes_jobs_and_chains_on_one_id_namespace() {
         let specs =
             parse_job_file("rmat=6,4 repeat=2\nchain=triangle rmat=6,4 seed=5 repeat=2\n").unwrap();
-        let subs = expand_submissions(&specs, ReorganizerConfig::default()).unwrap();
-        assert_eq!(subs.jobs.len(), 2);
-        assert_eq!(subs.chains.len(), 2);
-        assert_eq!(subs.jobs[1].id, 1);
-        assert_eq!(subs.chains[0].id, 2);
-        assert_eq!(subs.chains[1].id, 3);
+        let requests = expand_requests(&specs, ReorganizerConfig::default()).unwrap();
+        assert_eq!(requests.len(), 4);
+        let programs: Vec<&str> = requests.iter().map(|r| r.program.name.as_str()).collect();
+        assert_eq!(programs, ["multiply", "multiply", "triangle", "triangle"]);
+        let ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
         assert!(
-            subs.chains[0].label.contains("triangle"),
+            requests[2].label.contains("triangle"),
             "{}",
-            subs.chains[0].label
+            requests[2].label
         );
         // Chain repeats share the prepared inputs.
-        assert!(Arc::ptr_eq(
-            &subs.chains[0].inputs[0],
-            &subs.chains[1].inputs[0]
-        ));
-        // expand_jobs refuses mixed files with a pointer to the right API.
-        let err = expand_jobs(&specs, ReorganizerConfig::default()).unwrap_err();
-        assert!(err.contains("expand_submissions"), "{err}");
+        assert!(Arc::ptr_eq(&requests[2].inputs[0], &requests[3].inputs[0]));
     }
 
     #[test]
     fn expand_shares_operands_across_repeats() {
         let specs = parse_job_file("rmat=6,4 repeat=3").unwrap();
-        let jobs = expand_jobs(&specs, ReorganizerConfig::default()).unwrap();
+        let jobs = expand_requests(&specs, ReorganizerConfig::default()).unwrap();
         assert_eq!(jobs.len(), 3);
-        assert!(Arc::ptr_eq(&jobs[0].a, &jobs[1].a));
-        assert!(Arc::ptr_eq(&jobs[1].a, &jobs[2].a));
-        assert!(Arc::ptr_eq(&jobs[0].a, &jobs[0].b), "square by default");
+        assert!(Arc::ptr_eq(&jobs[0].inputs[0], &jobs[1].inputs[0]));
+        assert!(Arc::ptr_eq(&jobs[1].inputs[0], &jobs[2].inputs[0]));
+        assert_eq!(jobs[0].inputs.len(), 1, "square by default");
+        assert_eq!(jobs[0].program, br_workloads::ChainProgram::one_step(true));
         assert_eq!(jobs[2].label, "rmat-6-4[3/3]");
         assert_eq!(jobs[2].id, 2);
     }

@@ -13,6 +13,9 @@
 //!
 //! * [`queue::JobQueue`] — a blocking MPMC queue feeding a pool of workers,
 //!   one simulated device ([`br_gpu_sim::sim::GpuSimulator`]) per worker.
+//! * [`exec::Executor`] — the one plan-and-execute path. Each worker owns
+//!   one; every request, a single multiplication included, is a
+//!   [`chain::ChainRequest`] it runs step by step through the plan cache.
 //! * [`cache::PlanCache`] — an LRU cache of
 //!   [`block_reorganizer::plan::ReorgPlan`] artifacts keyed by the
 //!   operands' sparsity signature (dims, nnz, pointer/index hash), the
@@ -22,13 +25,13 @@
 //!   result collection.
 //! * [`stats::ServiceStats`] — per-phase latency, queue depth, cache hit
 //!   rate, and per-device utilization for one service run.
-//! * [`job`] — job descriptions, plus the job-file format consumed by
-//!   `blockreorg-cli batch`.
+//! * [`chain`] — requests and outcomes; [`job`] — the job-file format
+//!   consumed by `blockreorg-cli batch` and the wire front end.
 //!
 //! Observability: every service (and its plan cache) registers its
 //! instruments — job lifecycle spans (`job/submit`, `job`, `job/plan`,
-//! `job/execute`), queue gauges, and cache hit/miss/eviction/single-flight
-//! counters — in a [`br_obs::Registry`]. By default each service gets a
+//! `job/execute`), queue gauges, per-step `br_chain_*` counters, and cache
+//! hit/miss/eviction/single-flight counters — in a [`br_obs::Registry`]. By default each service gets a
 //! private registry; pass one via
 //! [`service::ServiceConfig::with_registry`] (the CLI uses
 //! [`br_obs::global`]) to export them. All queue/cache locks go through
@@ -44,11 +47,11 @@
 //! use std::sync::Arc;
 //!
 //! let a = Arc::new(rmat(RmatConfig::snap_like(8, 6, 7)).to_csr());
-//! let jobs: Vec<JobRequest> = (0..4)
-//!     .map(|id| JobRequest::square(id, a.clone()))
+//! let jobs: Vec<ChainRequest> = (0..4)
+//!     .map(|id| ChainRequest::square(id, a.clone()))
 //!     .collect();
-//! let batch = SpgemmService::run_batch(ServiceConfig::default(), jobs);
-//! assert_eq!(batch.outcomes.len(), 4);
+//! let batch = SpgemmService::run_chains(ServiceConfig::default(), jobs);
+//! assert_eq!(batch.chains.len(), 4);
 //! assert!(batch.stats.cache.hits >= 3, "repeats reuse the plan");
 //! ```
 
@@ -56,6 +59,7 @@
 
 pub mod cache;
 pub mod chain;
+pub mod exec;
 pub mod job;
 pub mod queue;
 pub mod service;
@@ -67,14 +71,10 @@ pub mod prelude {
     pub use crate::chain::{
         register_chain_instruments, ChainInstruments, ChainOutcome, ChainRequest, StepOutcome,
     };
-    pub use crate::job::{
-        expand_jobs, expand_submissions, parse_job_file, JobError, JobOutcome, JobRequest, JobSpec,
-        MatrixSource, Submissions,
-    };
+    pub use crate::exec::Executor;
+    pub use crate::job::{expand_requests, parse_job_file, JobError, JobSpec, MatrixSource};
     pub use crate::queue::{JobQueue, PushError};
-    pub use crate::service::{
-        BatchOutcome, ChainSubmitError, ServiceConfig, SpgemmService, SubmitError,
-    };
+    pub use crate::service::{BatchOutcome, ServiceConfig, SpgemmService, SubmitError};
     pub use crate::stats::{ServiceStats, WorkerStats};
 }
 
@@ -82,7 +82,8 @@ pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use chain::{
     register_chain_instruments, ChainInstruments, ChainOutcome, ChainRequest, StepOutcome,
 };
-pub use job::{JobError, JobOutcome, JobRequest};
+pub use exec::Executor;
+pub use job::JobError;
 pub use queue::{JobQueue, PushError};
-pub use service::{BatchOutcome, ChainSubmitError, ServiceConfig, SpgemmService, SubmitError};
+pub use service::{BatchOutcome, ServiceConfig, SpgemmService, SubmitError};
 pub use stats::{ServiceStats, WorkerStats};

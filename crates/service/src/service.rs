@@ -1,29 +1,28 @@
 //! The job service: submission API, worker pool, and result collection.
 //!
 //! [`SpgemmService::start`] spawns one worker thread per configured device;
-//! each worker owns a [`GpuSimulator`] and pulls jobs from a shared
-//! [`JobQueue`]. Workers consult the shared [`PlanCache`] before running:
-//! a hit executes in [`PlanMode::Cached`] (no precalculation kernel, no
-//! host-side B-Splitting charge), a miss builds the [`ReorgPlan`], publishes
-//! it, and executes cold. The numeric result is identical either way — the
-//! plan captures only structure-dependent decisions.
+//! each worker owns an [`Executor`] (its own [`br_gpu_sim::sim::GpuSimulator`]
+//! and merge scratch) and pulls requests from a shared [`JobQueue`]. Every
+//! step of a request consults the shared [`PlanCache`]: a hit executes in
+//! [`block_reorganizer::plan::PlanMode::Cached`] (no precalculation kernel,
+//! no host-side B-Splitting charge), a miss builds the
+//! [`block_reorganizer::plan::ReorgPlan`], publishes it, and executes cold.
+//! The numeric result is identical either way — the plan captures only
+//! structure-dependent decisions.
 
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use block_reorganizer::plan::{PlanMode, ReorgPlan};
 use block_reorganizer::reorder::ReorderStrategy;
 use br_gpu_sim::device::DeviceConfig;
-use br_gpu_sim::sim::GpuSimulator;
 use br_obs::{Counter, Gauge, Histogram, Registry};
-use br_spgemm::accum::ScratchPool;
-use br_spgemm::context::ProblemContext;
 use br_spgemm::estimate::EstimatorConfig;
 
-use crate::cache::{PlanCache, PlanKey};
-use crate::chain::{self, ChainInstruments, ChainOutcome, ChainRequest};
-use crate::job::{JobError, JobOutcome, JobRequest};
+use crate::cache::PlanCache;
+use crate::chain::{ChainOutcome, ChainRequest};
+use crate::exec::Executor;
+use crate::job::JobError;
 use crate::queue::{JobQueue, PushError};
 use crate::stats::{ServiceStats, WorkerStats};
 
@@ -49,15 +48,15 @@ pub struct ServiceConfig {
     pub registry: Option<Arc<Registry>>,
     /// Estimation-based planning. `None` (the default) builds every plan
     /// with the exact symbolic precalculation; `Some(cfg)` builds plans via
-    /// [`ReorgPlan::build_estimated`] — sampled workload estimation with
+    /// `ReorgPlan::build_estimated_with_reorder` — sampled workload estimation with
     /// per-problem method selection, falling back to exact precalc when the
     /// confidence band exceeds `cfg.tolerance`. The estimator fingerprint
-    /// is part of the [`PlanKey`], so flipping this setting never aliases
+    /// is part of the [`crate::cache::PlanKey`], so flipping this setting never aliases
     /// cached plans built the other way.
     pub estimator: Option<EstimatorConfig>,
     /// Row-reordering strategy applied to every plan the pool builds
     /// ([`ReorderStrategy::None`], the default, is the historical
-    /// pipeline). The strategy fingerprint is part of the [`PlanKey`], so
+    /// pipeline). The strategy fingerprint is part of the [`crate::cache::PlanKey`], so
     /// reordered plans never alias baseline plans; results are
     /// bit-identical either way — the plan un-permutes its output.
     pub reorder: ReorderStrategy,
@@ -117,52 +116,21 @@ impl ServiceConfig {
     }
 }
 
-/// Why [`SpgemmService::try_submit`] refused a job (the job comes back).
+/// Why [`SpgemmService::try_submit`] refused a request (it comes back).
+/// Boxed: a request is far bigger than the `Ok` arm of a submit.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// The bounded queue is at capacity.
-    QueueFull(JobRequest),
-    /// The service is already draining.
-    Draining(JobRequest),
-}
-
-/// Why [`SpgemmService::try_submit_chain`] refused a chain (it comes back).
-/// Boxed: a chain request is far bigger than the `Ok` arm of a submit.
-#[derive(Debug)]
-pub enum ChainSubmitError {
     /// The bounded queue is at capacity.
     QueueFull(Box<ChainRequest>),
     /// The service is already draining.
     Draining(Box<ChainRequest>),
 }
 
-impl ChainSubmitError {
-    /// The refused chain.
-    pub fn into_chain(self) -> ChainRequest {
-        match self {
-            ChainSubmitError::QueueFull(chain) | ChainSubmitError::Draining(chain) => *chain,
-        }
-    }
-}
-
-impl std::fmt::Display for ChainSubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChainSubmitError::QueueFull(chain) => {
-                write!(f, "queue full, chain {} rejected", chain.id)
-            }
-            ChainSubmitError::Draining(chain) => {
-                write!(f, "service draining, chain {} rejected", chain.id)
-            }
-        }
-    }
-}
-
 impl SubmitError {
-    /// The refused job.
-    pub fn into_job(self) -> JobRequest {
+    /// The refused request.
+    pub fn into_request(self) -> ChainRequest {
         match self {
-            SubmitError::QueueFull(job) | SubmitError::Draining(job) => job,
+            SubmitError::QueueFull(request) | SubmitError::Draining(request) => *request,
         }
     }
 }
@@ -170,8 +138,8 @@ impl SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::QueueFull(job) => write!(f, "queue full, job {} rejected", job.id),
-            SubmitError::Draining(job) => write!(f, "service draining, job {} rejected", job.id),
+            SubmitError::QueueFull(r) => write!(f, "queue full, job {} rejected", r.id),
+            SubmitError::Draining(r) => write!(f, "service draining, job {} rejected", r.id),
         }
     }
 }
@@ -179,33 +147,17 @@ impl std::fmt::Display for SubmitError {
 /// Everything a finished batch reports.
 #[derive(Debug)]
 pub struct BatchOutcome {
-    /// Successful jobs, in submission order.
-    pub outcomes: Vec<JobOutcome>,
-    /// Successful chains, in submission order. Failed chains land in
-    /// `failures` alongside failed jobs (ids share one namespace).
+    /// Successful requests, in submission order.
     pub chains: Vec<ChainOutcome>,
-    /// Failed jobs and chains, in submission order.
+    /// Failed requests, in submission order.
     pub failures: Vec<JobError>,
     /// The aggregate report.
     pub stats: ServiceStats,
 }
 
-/// What one queue slot holds: a single multiplication or a whole chain.
-enum WorkItem {
-    Job(JobRequest),
-    Chain(Box<ChainRequest>),
-}
-
 struct QueuedJob {
-    request: WorkItem,
+    request: Box<ChainRequest>,
     enqueued: Instant,
-}
-
-// Boxed: an outcome (with its result matrix) dwarfs an error.
-enum Completion {
-    Ok(Box<JobOutcome>),
-    Chain(Box<ChainOutcome>),
-    Err(JobError),
 }
 
 struct WorkerReport {
@@ -227,8 +179,6 @@ struct ServiceInstruments {
     queue_max_depth: Gauge,
     /// Wall-clock queue wait per job — the "queue" stage of the lifecycle.
     queue_wait: Histogram,
-    /// Pre-registered `br_chain_*` families, updated by chain steps.
-    chain: ChainInstruments,
 }
 
 impl ServiceInstruments {
@@ -259,7 +209,6 @@ impl ServiceInstruments {
             "Wall-clock nanoseconds a job waited in the queue.",
             &[],
         );
-        let chain = chain::register_chain_instruments(&registry);
         ServiceInstruments {
             registry,
             submitted,
@@ -268,7 +217,6 @@ impl ServiceInstruments {
             queue_depth,
             queue_max_depth,
             queue_wait,
-            chain,
         }
     }
 }
@@ -280,7 +228,7 @@ pub struct SpgemmService {
     cache: Arc<PlanCache>,
     instruments: Arc<ServiceInstruments>,
     workers: Vec<JoinHandle<WorkerReport>>,
-    results: mpsc::Receiver<Completion>,
+    results: mpsc::Receiver<Result<ChainOutcome, JobError>>,
     started: Instant,
     submitted: usize,
 }
@@ -300,33 +248,29 @@ impl SpgemmService {
             config.cache_capacity,
             registry.clone(),
         ));
-        let instruments = Arc::new(ServiceInstruments::new(registry));
+        let instruments = Arc::new(ServiceInstruments::new(registry.clone()));
         let (tx, rx) = mpsc::channel();
         let workers = config
             .devices
             .into_iter()
             .enumerate()
             .map(|(index, device)| {
+                // Built here, not on the worker thread, so the executor's
+                // instrument families are registered before `start` returns.
+                let exec = Executor::new(
+                    index,
+                    device,
+                    cache.clone(),
+                    registry.clone(),
+                    config.estimator,
+                    config.reorder,
+                );
                 let queue = queue.clone();
-                let cache = cache.clone();
                 let instruments = instruments.clone();
                 let tx = tx.clone();
-                let estimator = config.estimator;
-                let reorder = config.reorder;
                 thread::Builder::new()
                     .name(format!("br-service-worker-{index}"))
-                    .spawn(move || {
-                        worker_loop(
-                            index,
-                            device,
-                            queue,
-                            cache,
-                            instruments,
-                            estimator,
-                            reorder,
-                            tx,
-                        )
-                    })
+                    .spawn(move || worker_loop(index, exec, queue, instruments, tx))
                     .expect("failed to spawn service worker")
             })
             .collect();
@@ -341,59 +285,31 @@ impl SpgemmService {
         }
     }
 
-    /// Enqueues a job; `false` if the service is draining or the bounded
-    /// queue is full (see [`try_submit`](Self::try_submit) for the typed
-    /// rejection that hands the job back).
-    pub fn submit(&mut self, job: JobRequest) -> bool {
-        self.try_submit(job).is_ok()
+    /// Enqueues a request; `false` if the service is draining or the
+    /// bounded queue is full (see [`try_submit`](Self::try_submit) for the
+    /// typed rejection that hands the request back). A request occupies
+    /// one queue slot and runs to completion on one worker, step by step.
+    pub fn submit(&mut self, request: ChainRequest) -> bool {
+        self.try_submit(request).is_ok()
     }
 
     /// Non-blocking admission into the service queue.
-    pub fn try_submit(&mut self, job: JobRequest) -> Result<(), SubmitError> {
+    pub fn try_submit(&mut self, request: ChainRequest) -> Result<(), SubmitError> {
         let registry = self.instruments.registry.clone();
         let _span = registry.span("job/submit");
-        match self.push_item(WorkItem::Job(job)) {
-            Ok(()) => Ok(()),
-            Err(PushError::Full(WorkItem::Job(job))) => Err(SubmitError::QueueFull(job)),
-            Err(PushError::Closed(WorkItem::Job(job))) => Err(SubmitError::Draining(job)),
-            Err(_) => unreachable!("a refused job push hands back the job"),
-        }
-    }
-
-    /// Enqueues a chain; `false` if the service is draining or the bounded
-    /// queue is full. A chain occupies one queue slot and runs to
-    /// completion on one worker, step by step.
-    pub fn submit_chain(&mut self, chain: ChainRequest) -> bool {
-        self.try_submit_chain(chain).is_ok()
-    }
-
-    /// Non-blocking admission of a chain into the service queue.
-    pub fn try_submit_chain(&mut self, chain: ChainRequest) -> Result<(), ChainSubmitError> {
-        let registry = self.instruments.registry.clone();
-        let _span = registry.span("chain/submit");
-        match self.push_item(WorkItem::Chain(Box::new(chain))) {
-            Ok(()) => Ok(()),
-            Err(PushError::Full(WorkItem::Chain(chain))) => Err(ChainSubmitError::QueueFull(chain)),
-            Err(PushError::Closed(WorkItem::Chain(chain))) => {
-                Err(ChainSubmitError::Draining(chain))
-            }
-            Err(_) => unreachable!("a refused chain push hands back the chain"),
-        }
-    }
-
-    fn push_item(&mut self, item: WorkItem) -> Result<(), PushError<WorkItem>> {
-        match self.queue.try_push(QueuedJob {
-            request: item,
+        let queued = QueuedJob {
+            request: Box::new(request),
             enqueued: Instant::now(),
-        }) {
+        };
+        match self.queue.try_push(queued) {
             Ok(depth) => {
                 self.submitted += 1;
                 self.instruments.submitted.inc();
                 self.instruments.queue_depth.set_u64(depth as u64);
                 Ok(())
             }
-            Err(PushError::Full(queued)) => Err(PushError::Full(queued.request)),
-            Err(PushError::Closed(queued)) => Err(PushError::Closed(queued.request)),
+            Err(PushError::Full(queued)) => Err(SubmitError::QueueFull(queued.request)),
+            Err(PushError::Closed(queued)) => Err(SubmitError::Draining(queued.request)),
         }
     }
 
@@ -420,43 +336,19 @@ impl SpgemmService {
     }
 
     /// Runs a whole batch: submit everything, drain, report. On a bounded
-    /// queue (`queue_capacity`), jobs refused by admission control appear
-    /// in `failures` with a "queue full" message instead of vanishing.
-    pub fn run_batch(config: ServiceConfig, jobs: Vec<JobRequest>) -> BatchOutcome {
+    /// queue (`queue_capacity`), requests refused by admission control
+    /// appear in `failures` with a "queue full" message instead of
+    /// vanishing.
+    pub fn run_chains(config: ServiceConfig, requests: Vec<ChainRequest>) -> BatchOutcome {
         let mut service = Self::start(config);
         let mut rejected = Vec::new();
-        for job in jobs {
-            if let Err(err) = service.try_submit(job) {
+        for request in requests {
+            if let Err(err) = service.try_submit(request) {
                 let message = err.to_string();
-                let job = err.into_job();
+                let request = err.into_request();
                 rejected.push(JobError {
-                    id: job.id,
-                    label: job.label,
-                    message,
-                });
-            }
-        }
-        let mut batch = service.drain();
-        if !rejected.is_empty() {
-            batch.stats.failures += rejected.len();
-            batch.failures.extend(rejected);
-            batch.failures.sort_by_key(|f| f.id);
-        }
-        batch
-    }
-
-    /// Runs a batch of chains: submit everything, drain, report. Chains
-    /// refused by admission control land in `failures` like rejected jobs.
-    pub fn run_chains(config: ServiceConfig, chains: Vec<ChainRequest>) -> BatchOutcome {
-        let mut service = Self::start(config);
-        let mut rejected = Vec::new();
-        for chain in chains {
-            if let Err(err) = service.try_submit_chain(chain) {
-                let message = err.to_string();
-                let chain = err.into_chain();
-                rejected.push(JobError {
-                    id: chain.id,
-                    label: chain.label,
+                    id: request.id,
+                    label: request.label,
                     message,
                 });
             }
@@ -490,17 +382,14 @@ impl SpgemmService {
         instruments
             .queue_max_depth
             .set_u64(queue.max_depth() as u64);
-        let mut outcomes = Vec::with_capacity(submitted);
-        let mut chains = Vec::new();
+        let mut chains = Vec::with_capacity(submitted);
         let mut failures = Vec::new();
         while let Ok(done) = results.try_recv() {
             match done {
-                Completion::Ok(outcome) => outcomes.push(*outcome),
-                Completion::Chain(outcome) => chains.push(*outcome),
-                Completion::Err(err) => failures.push(err),
+                Ok(outcome) => chains.push(outcome),
+                Err(err) => failures.push(err),
             }
         }
-        outcomes.sort_by_key(|o| o.id);
         chains.sort_by_key(|c| c.id);
         failures.sort_by_key(|f| f.id);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -519,7 +408,7 @@ impl SpgemmService {
             })
             .collect();
         let stats = ServiceStats::from_outcomes(
-            &outcomes,
+            &chains,
             failures.len(),
             wall_ms,
             cache.stats(),
@@ -527,7 +416,6 @@ impl SpgemmService {
             worker_stats,
         );
         BatchOutcome {
-            outcomes,
             chains,
             failures,
             stats,
@@ -535,21 +423,13 @@ impl SpgemmService {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     index: usize,
-    device: DeviceConfig,
+    exec: Executor,
     queue: Arc<JobQueue<QueuedJob>>,
-    cache: Arc<PlanCache>,
     instruments: Arc<ServiceInstruments>,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
-    tx: mpsc::Sender<Completion>,
+    tx: mpsc::Sender<Result<ChainOutcome, JobError>>,
 ) -> WorkerReport {
-    let sim = GpuSimulator::new(device.clone());
-    // Per-worker merge scratch: jobs on this worker reuse the same warmed
-    // accumulators, so steady-state merging allocates nothing per row.
-    let pool = ScratchPool::new();
     let mut jobs = 0usize;
     let mut busy_ms = 0.0f64;
     while let Some(queued) = queue.pop() {
@@ -559,42 +439,12 @@ fn worker_loop(
             .observe(queued.enqueued.elapsed().as_nanos() as u64);
         let queue_ms = queued.enqueued.elapsed().as_secs_f64() * 1e3;
         let t0 = Instant::now();
-        let done = match queued.request {
-            WorkItem::Job(job) => execute_job(
-                index,
-                &device,
-                &sim,
-                &cache,
-                &instruments,
-                &pool,
-                estimator,
-                reorder,
-                job,
-                queue_ms,
-                t0,
-            ),
-            WorkItem::Chain(chain_request) => match chain::execute_chain(
-                index,
-                &device,
-                &sim,
-                &cache,
-                &pool,
-                estimator,
-                reorder,
-                &instruments.chain,
-                &instruments.registry,
-                *chain_request,
-                queue_ms,
-            ) {
-                Ok(outcome) => Completion::Chain(outcome),
-                Err(err) => Completion::Err(err),
-            },
-        };
+        let done = exec.run(*queued.request, queue_ms);
         busy_ms += t0.elapsed().as_secs_f64() * 1e3;
         jobs += 1;
         match &done {
-            Completion::Ok(_) | Completion::Chain(_) => instruments.completed.inc(),
-            Completion::Err(_) => instruments.failed.inc(),
+            Ok(_) => instruments.completed.inc(),
+            Err(_) => instruments.failed.inc(),
         }
         if tx.send(done).is_err() {
             break; // collector is gone; nothing left to report to
@@ -602,96 +452,8 @@ fn worker_loop(
     }
     WorkerReport {
         worker: index,
-        device: device.name,
+        device: exec.device().to_string(),
         jobs,
         busy_ms,
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_job(
-    worker: usize,
-    device: &DeviceConfig,
-    sim: &GpuSimulator,
-    cache: &PlanCache,
-    instruments: &ServiceInstruments,
-    pool: &ScratchPool<f64>,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
-    job: JobRequest,
-    queue_ms: f64,
-    t0: Instant,
-) -> Completion {
-    let registry = &instruments.registry;
-    let job_span = registry.span("job");
-    let fail = |message: String| {
-        Completion::Err(JobError {
-            id: job.id,
-            label: job.label.clone(),
-            message,
-        })
-    };
-    // `from_shared` bumps the job's `Arc`s instead of deep-cloning A, B,
-    // and the CSC copy per job.
-    let ctx = match ProblemContext::from_shared(job.a.clone(), job.b.clone()) {
-        Ok(ctx) => ctx,
-        Err(e) => return fail(format!("invalid operands: {e}")),
-    };
-    let key = PlanKey::with_options(
-        ctx.signature(),
-        &device.name,
-        &job.config,
-        estimator.as_ref(),
-        reorder,
-    );
-    // Single-flight: concurrent workers racing on the same absent key
-    // produce exactly one build (one miss) and one hit per other job, so
-    // the cache counters in the batch report don't depend on worker count
-    // or scheduling.
-    let (plan, cache_hit) = {
-        let _plan_span = registry.span("plan");
-        cache.get_or_build(&key, || {
-            Arc::new(match estimator {
-                Some(est) => ReorgPlan::build_estimated_with_reorder(
-                    &ctx,
-                    &job.config,
-                    device,
-                    &est,
-                    reorder,
-                ),
-                None => ReorgPlan::build_with_reorder(&ctx, &job.config, device, reorder),
-            })
-        })
-    };
-    let mode = if cache_hit {
-        PlanMode::Cached
-    } else {
-        PlanMode::Cold
-    };
-    let run = {
-        let _exec_span = registry.span("execute");
-        match plan.execute_with_scratch(sim, &ctx, mode, Some(pool)) {
-            Ok(run) => run,
-            Err(e) => return fail(format!("execution failed: {e}")),
-        }
-    };
-    drop(job_span);
-    Completion::Ok(Box::new(JobOutcome {
-        id: job.id,
-        label: job.label,
-        worker,
-        device: device.name.clone(),
-        cache_hit,
-        total_ms: run.total_ms,
-        precalc_ms: run.phase_ms("precalc"),
-        expansion_ms: run.phase_ms("expansion"),
-        merge_ms: run.phase_ms("merge"),
-        preprocess_ms: run.preprocess_ms,
-        queue_ms,
-        host_ms: t0.elapsed().as_secs_f64() * 1e3,
-        gflops: run.gflops(),
-        nnz_c: run.result.nnz(),
-        stats: run.stats,
-        result: run.result,
-    }))
 }

@@ -1,7 +1,7 @@
 //! Aggregate statistics for one service run.
 
 use crate::cache::CacheStats;
-use crate::job::JobOutcome;
+use crate::chain::{ChainOutcome, StepOutcome};
 
 /// Utilization of one worker (one simulated device).
 #[derive(Debug, Clone, PartialEq)]
@@ -10,7 +10,7 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Device the worker simulates.
     pub device: String,
-    /// Jobs the worker completed.
+    /// Requests the worker executed, failed ones included.
     pub jobs: usize,
     /// Wall-clock ms the worker spent executing jobs.
     pub busy_ms: f64,
@@ -21,9 +21,10 @@ pub struct WorkerStats {
 /// Everything `blockreorg-cli batch` prints after a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
-    /// Jobs that completed successfully.
+    /// Requests that completed successfully (a single multiplication and
+    /// a whole chain count one each).
     pub jobs: usize,
-    /// Jobs that failed.
+    /// Requests that failed.
     pub failures: usize,
     /// Wall-clock duration of the batch, ms.
     pub wall_ms: f64,
@@ -31,11 +32,12 @@ pub struct ServiceStats {
     pub cache: CacheStats,
     /// Highest queue depth observed.
     pub max_queue_depth: usize,
-    /// Mean simulated end-to-end latency across all jobs, ms.
+    /// Mean simulated end-to-end latency per request (summed over its
+    /// steps), ms.
     pub mean_total_ms: f64,
-    /// Mean simulated latency of cache-miss (cold) jobs, ms.
+    /// Mean simulated latency of cache-miss (cold) steps, ms.
     pub mean_cold_ms: f64,
-    /// Mean simulated latency of cache-hit (warm) jobs, ms.
+    /// Mean simulated latency of cache-hit (warm) steps, ms.
     pub mean_warm_ms: f64,
     /// Summed simulated precalculation-kernel time, ms.
     pub precalc_ms: f64,
@@ -43,7 +45,7 @@ pub struct ServiceStats {
     pub expansion_ms: f64,
     /// Summed simulated merge-kernel time, ms.
     pub merge_ms: f64,
-    /// Summed host-side preprocessing charged to jobs, ms.
+    /// Summed host-side preprocessing charged to steps, ms.
     pub preprocess_ms: f64,
     /// Mean wall-clock queue wait, ms.
     pub mean_queue_ms: f64,
@@ -53,8 +55,10 @@ pub struct ServiceStats {
 
 impl ServiceStats {
     /// Builds the report from completed outcomes and run-level counters.
+    /// Request-level means (latency, queue wait) average over outcomes;
+    /// cold/warm means and phase sums run over every executed step.
     pub fn from_outcomes(
-        outcomes: &[JobOutcome],
+        outcomes: &[ChainOutcome],
         failures: usize,
         wall_ms: f64,
         cache: CacheStats,
@@ -68,17 +72,16 @@ impl ServiceStats {
                 values.iter().sum::<f64>() / values.len() as f64
             }
         };
+        let steps: Vec<&StepOutcome> = outcomes.iter().flat_map(|o| &o.steps).collect();
+        let step_ms = |hit: bool| -> Vec<f64> {
+            steps
+                .iter()
+                .filter(|s| s.cache_hit == hit)
+                .map(|s| s.total_ms)
+                .collect()
+        };
+        let sum = |field: fn(&StepOutcome) -> f64| steps.iter().map(|s| field(s)).sum();
         let totals: Vec<f64> = outcomes.iter().map(|o| o.total_ms).collect();
-        let cold: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| !o.cache_hit)
-            .map(|o| o.total_ms)
-            .collect();
-        let warm: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| o.cache_hit)
-            .map(|o| o.total_ms)
-            .collect();
         let queue: Vec<f64> = outcomes.iter().map(|o| o.queue_ms).collect();
         ServiceStats {
             jobs: outcomes.len(),
@@ -87,12 +90,12 @@ impl ServiceStats {
             cache,
             max_queue_depth,
             mean_total_ms: mean(&totals),
-            mean_cold_ms: mean(&cold),
-            mean_warm_ms: mean(&warm),
-            precalc_ms: outcomes.iter().map(|o| o.precalc_ms).sum(),
-            expansion_ms: outcomes.iter().map(|o| o.expansion_ms).sum(),
-            merge_ms: outcomes.iter().map(|o| o.merge_ms).sum(),
-            preprocess_ms: outcomes.iter().map(|o| o.preprocess_ms).sum(),
+            mean_cold_ms: mean(&step_ms(false)),
+            mean_warm_ms: mean(&step_ms(true)),
+            precalc_ms: sum(|s| s.precalc_ms),
+            expansion_ms: sum(|s| s.expansion_ms),
+            merge_ms: sum(|s| s.merge_ms),
+            preprocess_ms: sum(|s| s.preprocess_ms),
             mean_queue_ms: mean(&queue),
             workers,
         }
@@ -149,28 +152,67 @@ impl std::fmt::Display for ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use block_reorganizer::pass::ReorgStats;
+    use std::sync::Arc;
+
     use br_sparse::CsrMatrix;
 
-    fn outcome(hit: bool, total: f64, queue: f64) -> JobOutcome {
-        JobOutcome {
-            id: 0,
-            label: "t".into(),
-            worker: 0,
-            device: "Titan Xp".into(),
+    fn step(hit: bool, total: f64) -> StepOutcome {
+        StepOutcome {
+            index: 0,
+            label: "A*A".into(),
             cache_hit: hit,
+            method: "reorganized",
             total_ms: total,
             precalc_ms: if hit { 0.0 } else { 1.0 },
             expansion_ms: 2.0,
             merge_ms: 3.0,
             preprocess_ms: if hit { 0.0 } else { 0.5 },
+            gflops: 1.0,
+            product_nnz: 0,
+            output_nnz: 0,
+            fill_in_permille: 0,
+            fresh_structure: true,
+        }
+    }
+
+    fn outcome(hit: bool, total: f64, queue: f64) -> ChainOutcome {
+        chain(vec![step(hit, total)], queue)
+    }
+
+    fn chain(steps: Vec<StepOutcome>, queue: f64) -> ChainOutcome {
+        ChainOutcome {
+            id: 0,
+            label: "t".into(),
+            worker: 0,
+            device: "Titan Xp".into(),
+            total_ms: steps.iter().map(|s| s.total_ms).sum(),
+            steps,
             queue_ms: queue,
             host_ms: 1.0,
-            gflops: 1.0,
-            nnz_c: 0,
-            stats: ReorgStats::default(),
-            result: CsrMatrix::<f64>::zeros(1, 1),
+            result: Arc::new(CsrMatrix::<f64>::zeros(1, 1)),
         }
+    }
+
+    #[test]
+    fn multi_step_requests_count_once_and_split_steps_by_hit() {
+        // One chain of a miss and two hits, next to one single miss.
+        let outcomes = vec![
+            chain(
+                vec![step(false, 6.0), step(true, 2.0), step(true, 4.0)],
+                1.0,
+            ),
+            outcome(false, 8.0, 3.0),
+        ];
+        let stats =
+            ServiceStats::from_outcomes(&outcomes, 0, 10.0, CacheStats::default(), 2, vec![]);
+        assert_eq!(stats.jobs, 2, "a chain is one request");
+        assert!((stats.mean_total_ms - 10.0).abs() < 1e-12);
+        assert!((stats.mean_cold_ms - 7.0).abs() < 1e-12);
+        assert!((stats.mean_warm_ms - 3.0).abs() < 1e-12);
+        assert!((stats.precalc_ms - 2.0).abs() < 1e-12);
+        assert!((stats.expansion_ms - 8.0).abs() < 1e-12);
+        assert!((stats.merge_ms - 12.0).abs() < 1e-12);
+        assert!((stats.mean_queue_ms - 2.0).abs() < 1e-12);
     }
 
     #[test]

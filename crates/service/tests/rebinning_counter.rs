@@ -18,15 +18,17 @@ fn cache_hits_skip_rebinning_at_every_worker_count() {
     const N: u64 = 8;
     let a = Arc::new(rmat(RmatConfig::graph500(8, 8, 55)).to_csr());
     for workers in [1usize, 2, 4, 8] {
-        let jobs: Vec<JobRequest> = (0..N).map(|id| JobRequest::square(id, a.clone())).collect();
+        let jobs: Vec<ChainRequest> = (0..N)
+            .map(|id| ChainRequest::square(id, a.clone()))
+            .collect();
         let before = classification_runs();
-        let batch = SpgemmService::run_batch(
+        let batch = SpgemmService::run_chains(
             ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, 8),
             jobs,
         );
         let classified = classification_runs() - before;
         assert!(batch.failures.is_empty(), "workers={workers}");
-        assert_eq!(batch.outcomes.len(), N as usize, "workers={workers}");
+        assert_eq!(batch.chains.len(), N as usize, "workers={workers}");
         assert_eq!(batch.stats.cache.misses, 1, "workers={workers}");
         assert_eq!(batch.stats.cache.hits, N - 1, "workers={workers}");
         // Rows were classified exactly once — by the single plan build.

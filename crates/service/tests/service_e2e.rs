@@ -1,15 +1,21 @@
-//! End-to-end tests for the spGEMM job service: plan-cache amortization
-//! (the ISSUE acceptance criterion) and cold-vs-cached result equality.
+//! End-to-end tests for the spGEMM job service: plan-cache amortization,
+//! cold-vs-cached result equality, and a differential check of the one
+//! execution path against the oracle and direct plan execution.
 
 use std::sync::Arc;
 
+use block_reorganizer::plan::{PlanMode, ReorgPlan};
+use block_reorganizer::reorder::ReorderStrategy;
 use block_reorganizer::{BlockReorganizer, ReorganizerConfig};
 use br_datasets::registry::{RealWorldRegistry, ScaleFactor};
 use br_datasets::rmat::{rmat, RmatConfig};
 use br_gpu_sim::device::DeviceConfig;
+use br_gpu_sim::sim::GpuSimulator;
 use br_service::prelude::*;
 use br_sparse::CsrMatrix;
 use br_spgemm::context::ProblemContext;
+use br_spgemm::estimate::EstimatorConfig;
+use br_workloads::Workload;
 
 fn assert_bit_identical(lhs: &CsrMatrix<f64>, rhs: &CsrMatrix<f64>, what: &str) {
     assert_eq!(lhs.nrows(), rhs.nrows(), "{what}: row count");
@@ -19,6 +25,102 @@ fn assert_bit_identical(lhs: &CsrMatrix<f64>, rhs: &CsrMatrix<f64>, what: &str) 
     let lbits: Vec<u64> = lhs.val().iter().map(|v| v.to_bits()).collect();
     let rbits: Vec<u64> = rhs.val().iter().map(|v| v.to_bits()).collect();
     assert_eq!(lbits, rbits, "{what}: values must match bit for bit");
+}
+
+/// One-step squares and products next to multi-step chains, sharing
+/// structures so every grid cell sees both plan-cache misses and hits.
+fn differential_requests() -> Vec<ChainRequest> {
+    let a = Arc::new(rmat(RmatConfig::graph500(8, 6, 501)).to_csr());
+    let b = Arc::new(rmat(RmatConfig::graph500(8, 6, 502)).to_csr());
+    let base = rmat(RmatConfig::snap_like(7, 6, 503)).to_csr();
+    vec![
+        ChainRequest::square(0, a.clone()),
+        ChainRequest::multiply(1, a.clone(), b.clone()),
+        ChainRequest::square(2, a.clone()),
+        ChainRequest::workload(3, Workload::Galerkin, &base),
+        ChainRequest::workload(4, Workload::Square { k: 2 }, &base),
+        ChainRequest::multiply(5, a, b),
+    ]
+}
+
+/// Runs [`differential_requests`] through a service with the given
+/// estimator, reorder strategy and worker count, then checks every step
+/// twice: the result bit-equal to the Gustavson oracle, and the simulated
+/// numbers bit-equal to a fresh plan (same settings) executed directly by
+/// `ReorgPlan::execute_with_scratch` in the mode the service's cache chose.
+fn assert_matches_oracle_and_direct_plan(
+    estimator: Option<EstimatorConfig>,
+    reorder: ReorderStrategy,
+    workers: usize,
+) {
+    let requests = differential_requests();
+    let mut config =
+        ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, 16).with_reorder(reorder);
+    config.estimator = estimator;
+    let batch = SpgemmService::run_chains(config, requests.clone());
+    let cell = format!(
+        "estimator={} reorder={} workers={workers}",
+        estimator.is_some(),
+        reorder.name()
+    );
+    assert!(batch.failures.is_empty(), "{cell}: {:?}", batch.failures);
+    assert_eq!(batch.chains.len(), requests.len(), "{cell}");
+
+    let device = DeviceConfig::titan_xp();
+    let sim = GpuSimulator::new(device.clone());
+    let reorg = ReorganizerConfig::default();
+    for (request, outcome) in requests.iter().zip(&batch.chains) {
+        let what = format!("{cell} {}", request.label);
+        let oracle = request.program.execute_reference(&request.inputs).unwrap();
+        assert_bit_identical(&oracle.result, &outcome.result, &what);
+        let direct = request
+            .program
+            .execute_with(&request.inputs, |i, _, a, b| {
+                let ctx =
+                    ProblemContext::from_shared(a.clone(), b.clone()).map_err(|e| e.to_string())?;
+                let plan = match &estimator {
+                    Some(est) => {
+                        ReorgPlan::build_estimated_with_reorder(&ctx, &reorg, &device, est, reorder)
+                    }
+                    None => ReorgPlan::build_with_reorder(&ctx, &reorg, &device, reorder),
+                };
+                let mode = if outcome.steps[i].cache_hit {
+                    PlanMode::Cached
+                } else {
+                    PlanMode::Cold
+                };
+                let run = plan
+                    .execute_with_scratch(&sim, &ctx, mode, None)
+                    .map_err(|e| e.to_string())?;
+                Ok::<_, String>((run.result.clone(), run))
+            })
+            .unwrap();
+        assert_eq!(direct.steps.len(), outcome.steps.len(), "{what}");
+        for (d, step) in direct.steps.iter().zip(&outcome.steps) {
+            let run = &d.meta;
+            for (name, want, got) in [
+                ("total_ms", run.total_ms, step.total_ms),
+                ("gflops", run.gflops(), step.gflops),
+                ("precalc_ms", run.phase_ms("precalc"), step.precalc_ms),
+                ("expansion_ms", run.phase_ms("expansion"), step.expansion_ms),
+                ("merge_ms", run.phase_ms("merge"), step.merge_ms),
+            ] {
+                assert_eq!(
+                    want.to_bits(),
+                    got.to_bits(),
+                    "{what} step {}: {name} {want} vs {got}",
+                    step.index
+                );
+            }
+        }
+    }
+    // Some step of the grid hit and some missed, in every cell.
+    let hits: usize = batch.chains.iter().map(|c| c.cache_hits()).sum();
+    let misses: usize = batch.chains.iter().map(|c| c.cache_misses()).sum();
+    assert!(
+        hits > 0 && misses > 0,
+        "{cell}: {hits} hits, {misses} misses"
+    );
 }
 
 /// Cached-plan execution must produce bit-identical C to a cold run — on a
@@ -32,19 +134,23 @@ fn cached_execution_is_bit_identical_to_cold() {
 
     for (name, a) in [("as-caida", registry), ("rmat-8-8", random)] {
         let a = Arc::new(a);
-        let batch = SpgemmService::run_batch(
+        let batch = SpgemmService::run_chains(
             ServiceConfig::default(),
             vec![
-                JobRequest::square(0, a.clone()),
-                JobRequest::square(1, a.clone()),
+                ChainRequest::square(0, a.clone()),
+                ChainRequest::square(1, a.clone()),
             ],
         );
         assert!(batch.failures.is_empty(), "{name}: {:?}", batch.failures);
-        assert_eq!(batch.outcomes.len(), 2, "{name}");
-        let cold = &batch.outcomes[0];
-        let warm = &batch.outcomes[1];
-        assert!(!cold.cache_hit, "{name}: first run must be a miss");
-        assert!(warm.cache_hit, "{name}: second run must hit the cache");
+        assert_eq!(batch.chains.len(), 2, "{name}");
+        let cold = &batch.chains[0];
+        let warm = &batch.chains[1];
+        assert_eq!(cold.cache_misses(), 1, "{name}: first run must be a miss");
+        assert_eq!(
+            warm.cache_hits(),
+            1,
+            "{name}: second run must hit the cache"
+        );
         assert_bit_identical(&cold.result, &warm.result, name);
 
         // And against a plain one-shot pass outside the service.
@@ -62,23 +168,23 @@ fn cached_execution_is_bit_identical_to_cold() {
 fn repeated_batch_amortizes_preprocessing() {
     const N: usize = 8;
     let a = Arc::new(rmat(RmatConfig::graph500(9, 8, 7)).to_csr());
-    let jobs: Vec<JobRequest> = (0..N as u64)
-        .map(|id| JobRequest::square(id, a.clone()))
+    let jobs: Vec<ChainRequest> = (0..N as u64)
+        .map(|id| ChainRequest::square(id, a.clone()))
         .collect();
 
     // Several workers: the single-flight cache keeps hit/miss counts a
     // function of the job multiset, not of scheduling.
     let config = ServiceConfig::uniform(DeviceConfig::titan_xp(), 4, 8);
-    let batch = SpgemmService::run_batch(config, jobs);
+    let batch = SpgemmService::run_chains(config, jobs);
     assert!(batch.failures.is_empty(), "{:?}", batch.failures);
-    assert_eq!(batch.outcomes.len(), N);
+    assert_eq!(batch.chains.len(), N);
     assert_eq!(
         batch.stats.cache.hits,
         (N - 1) as u64,
         "every repeat after the first reuses the plan"
     );
     assert_eq!(batch.stats.cache.misses, 1);
-    let hits = batch.outcomes.iter().filter(|o| o.cache_hit).count();
+    let hits: usize = batch.chains.iter().map(|o| o.cache_hits()).sum();
     assert_eq!(hits, N - 1);
 
     // Baseline: N independent cold runs of the same multiplication.
@@ -97,7 +203,12 @@ fn repeated_batch_amortizes_preprocessing() {
         cold_mean
     );
     // Warm jobs skip the precalc kernel and the host preprocessing charge.
-    for warm in batch.outcomes.iter().filter(|o| o.cache_hit) {
+    for warm in batch
+        .chains
+        .iter()
+        .flat_map(|o| &o.steps)
+        .filter(|s| s.cache_hit)
+    {
         assert_eq!(warm.precalc_ms, 0.0);
         assert_eq!(warm.preprocess_ms, 0.0);
     }
@@ -114,16 +225,16 @@ fn multi_worker_pool_completes_every_job_correctly() {
     let mut jobs = Vec::new();
     for id in 0..N {
         if id % 2 == 0 {
-            jobs.push(JobRequest::square(id, a.clone()));
+            jobs.push(ChainRequest::square(id, a.clone()));
         } else {
-            jobs.push(JobRequest::multiply(id, a.clone(), b.clone()));
+            jobs.push(ChainRequest::multiply(id, a.clone(), b.clone()));
         }
     }
     let config = ServiceConfig::uniform(DeviceConfig::titan_xp(), 4, 8);
-    let batch = SpgemmService::run_batch(config, jobs);
+    let batch = SpgemmService::run_chains(config, jobs);
     assert!(batch.failures.is_empty(), "{:?}", batch.failures);
-    assert_eq!(batch.outcomes.len(), N as usize);
-    let ids: Vec<u64> = batch.outcomes.iter().map(|o| o.id).collect();
+    assert_eq!(batch.chains.len(), N as usize);
+    let ids: Vec<u64> = batch.chains.iter().map(|o| o.id).collect();
     assert_eq!(ids, (0..N).collect::<Vec<u64>>(), "each job exactly once");
 
     // Reference results computed serially.
@@ -133,7 +244,7 @@ fn multi_worker_pool_completes_every_job_correctly() {
     let ctx_ab = ProblemContext::new(&a, &b).unwrap();
     let ref_sq = reorg.multiply_ctx(&ctx_sq, &device).unwrap().result;
     let ref_ab = reorg.multiply_ctx(&ctx_ab, &device).unwrap().result;
-    for outcome in &batch.outcomes {
+    for outcome in &batch.chains {
         let reference = if outcome.id % 2 == 0 {
             &ref_sq
         } else {
@@ -159,19 +270,21 @@ fn multi_worker_pool_completes_every_job_correctly() {
 #[test]
 fn heterogeneous_devices_cache_plans_per_device() {
     let a = Arc::new(rmat(RmatConfig::graph500(8, 6, 11)).to_csr());
-    let jobs: Vec<JobRequest> = (0..8).map(|id| JobRequest::square(id, a.clone())).collect();
+    let jobs: Vec<ChainRequest> = (0..8)
+        .map(|id| ChainRequest::square(id, a.clone()))
+        .collect();
     let config = ServiceConfig {
         devices: vec![DeviceConfig::titan_xp(), DeviceConfig::tesla_v100()],
         cache_capacity: 8,
         ..ServiceConfig::default()
     };
-    let batch = SpgemmService::run_batch(config, jobs);
+    let batch = SpgemmService::run_chains(config, jobs);
     assert!(batch.failures.is_empty(), "{:?}", batch.failures);
-    assert_eq!(batch.outcomes.len(), 8);
+    assert_eq!(batch.chains.len(), 8);
     // Same structure on two device models ⇒ at most one plan per device.
     assert!(batch.stats.cache.misses <= 2, "{:?}", batch.stats.cache);
     assert!(batch.stats.cache.hits >= 6, "{:?}", batch.stats.cache);
-    for pair in batch.outcomes.windows(2) {
+    for pair in batch.chains.windows(2) {
         assert_bit_identical(&pair[0].result, &pair[1].result, "device-agnostic C");
     }
 }
@@ -188,13 +301,13 @@ fn batch_counters_are_deterministic_across_worker_counts() {
         let mut jobs = Vec::new();
         for id in 0..N {
             if id % 3 == 0 {
-                jobs.push(JobRequest::square(id, a.clone()));
+                jobs.push(ChainRequest::square(id, a.clone()));
             } else {
-                jobs.push(JobRequest::multiply(id, a.clone(), b.clone()));
+                jobs.push(ChainRequest::multiply(id, a.clone(), b.clone()));
             }
         }
         let config = ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, 8);
-        SpgemmService::run_batch(config, jobs)
+        SpgemmService::run_chains(config, jobs)
     };
     let baseline = run(1);
     assert!(baseline.failures.is_empty());
@@ -211,12 +324,12 @@ fn batch_counters_are_deterministic_across_worker_counts() {
         // cold run per key, warm for the rest), so sorted latencies and the
         // aggregate mean are exact at any worker count.
         let sorted_ms = |b: &br_service::service::BatchOutcome| {
-            let mut ms: Vec<u64> = b.outcomes.iter().map(|o| o.total_ms.to_bits()).collect();
+            let mut ms: Vec<u64> = b.chains.iter().map(|o| o.total_ms.to_bits()).collect();
             ms.sort_unstable();
             ms
         };
         assert_eq!(sorted_ms(&batch), sorted_ms(&baseline), "workers={workers}");
-        for (x, y) in batch.outcomes.iter().zip(&baseline.outcomes) {
+        for (x, y) in batch.chains.iter().zip(&baseline.chains) {
             assert_eq!(x.id, y.id);
             assert_bit_identical(&x.result, &y.result, &x.label);
         }
@@ -232,20 +345,20 @@ fn service_drains_after_panic_inside_queue_critical_section() {
     let a = Arc::new(rmat(RmatConfig::snap_like(7, 6, 33)).to_csr());
     let mut service = SpgemmService::start(ServiceConfig::uniform(DeviceConfig::titan_xp(), 2, 8));
     for id in 0..3 {
-        assert!(service.submit(JobRequest::square(id, a.clone())));
+        assert!(service.submit(ChainRequest::square(id, a.clone())));
     }
     // Panic while holding the queue mutex (poisons it), then keep going.
     service.poison_queue_for_test();
     for id in 3..6 {
         assert!(
-            service.submit(JobRequest::square(id, a.clone())),
+            service.submit(ChainRequest::square(id, a.clone())),
             "submissions must survive a poisoned queue mutex"
         );
     }
     let batch = service.drain();
     assert!(batch.failures.is_empty(), "{:?}", batch.failures);
-    assert_eq!(batch.outcomes.len(), 6, "all jobs drained after poison");
-    let ids: Vec<u64> = batch.outcomes.iter().map(|o| o.id).collect();
+    assert_eq!(batch.chains.len(), 6, "all jobs drained after poison");
+    let ids: Vec<u64> = batch.chains.iter().map(|o| o.id).collect();
     assert_eq!(ids, (0..6).collect::<Vec<u64>>());
 }
 
@@ -263,14 +376,14 @@ fn service_exposition_is_byte_identical_across_worker_counts() {
         let mut jobs = Vec::new();
         for id in 0..N {
             if id % 2 == 0 {
-                jobs.push(JobRequest::square(id, a.clone()));
+                jobs.push(ChainRequest::square(id, a.clone()));
             } else {
-                jobs.push(JobRequest::multiply(id, a.clone(), b.clone()));
+                jobs.push(ChainRequest::multiply(id, a.clone(), b.clone()));
             }
         }
         let config = ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, 8)
             .with_registry(registry.clone());
-        let batch = SpgemmService::run_batch(config, jobs);
+        let batch = SpgemmService::run_chains(config, jobs);
         assert!(batch.failures.is_empty(), "{:?}", batch.failures);
         (
             registry.render_prometheus(false),
@@ -307,19 +420,51 @@ fn bad_jobs_fail_gracefully_without_poisoning_the_batch() {
     let a = Arc::new(rmat(RmatConfig::graph500(7, 6, 5)).to_csr());
     let skinny = Arc::new(CsrMatrix::<f64>::zeros(3, 3));
     let jobs = vec![
-        JobRequest::square(0, a.clone()),
-        JobRequest::multiply(1, a.clone(), skinny), // shape mismatch
-        JobRequest::square(2, a.clone()),
+        ChainRequest::square(0, a.clone()),
+        ChainRequest::multiply(1, a.clone(), skinny), // shape mismatch
+        ChainRequest::square(2, a.clone()),
     ];
-    let batch = SpgemmService::run_batch(ServiceConfig::default(), jobs);
-    assert_eq!(batch.outcomes.len(), 2);
+    let batch = SpgemmService::run_chains(ServiceConfig::default(), jobs);
+    assert_eq!(batch.chains.len(), 2);
     assert_eq!(batch.failures.len(), 1);
     assert_eq!(batch.failures[0].id, 1);
     assert_eq!(batch.stats.failures, 1);
     assert_bit_identical(
-        &batch.outcomes[0].result,
-        &batch.outcomes[1].result,
+        &batch.chains[0].result,
+        &batch.chains[1].result,
         "surviving jobs",
+    );
+}
+
+/// A mixed batch of one-step jobs, a chain, and a failing job: the report
+/// counts every completed request once, whatever its step count, and the
+/// per-worker counts add up to completions plus execution failures.
+#[test]
+fn mixed_batch_stats_count_every_request() {
+    let a = Arc::new(rmat(RmatConfig::snap_like(7, 6, 61)).to_csr());
+    let skinny = Arc::new(CsrMatrix::<f64>::zeros(3, 3));
+    let requests = vec![
+        ChainRequest::square(0, a.clone()),
+        ChainRequest::workload(1, Workload::Galerkin, &a),
+        ChainRequest::multiply(2, a.clone(), skinny), // shape mismatch
+        ChainRequest::workload(3, Workload::Square { k: 2 }, &a),
+        ChainRequest::square(4, a.clone()),
+    ];
+    let config = ServiceConfig::uniform(DeviceConfig::titan_xp(), 2, 16);
+    let batch = SpgemmService::run_chains(config, requests);
+    assert_eq!(batch.failures.len(), 1);
+    assert_eq!(batch.stats.jobs, batch.chains.len());
+    assert_eq!(batch.stats.jobs, 4);
+    assert_eq!(batch.stats.failures, 1);
+    let worker_jobs: usize = batch.stats.workers.iter().map(|w| w.jobs).sum();
+    assert_eq!(worker_jobs, batch.stats.jobs + batch.failures.len());
+    assert!(batch.stats.mean_total_ms > 0.0, "{}", batch.stats);
+    let steps: usize = batch.chains.iter().map(|c| c.steps.len()).sum();
+    let cache = batch.stats.cache;
+    assert_eq!(
+        (cache.hits + cache.misses) as usize,
+        steps,
+        "one lookup per executed step; the bad job fails before planning"
     );
 }
 
@@ -332,18 +477,20 @@ fn bad_jobs_fail_gracefully_without_poisoning_the_batch() {
 fn estimator_enabled_service_matches_exact_results() {
     use br_spgemm::estimate::EstimatorConfig;
     let a = Arc::new(rmat(RmatConfig::graph500(9, 8, 77)).to_csr());
-    let jobs = |n: u64| -> Vec<JobRequest> {
-        (0..n).map(|id| JobRequest::square(id, a.clone())).collect()
+    let jobs = |n: u64| -> Vec<ChainRequest> {
+        (0..n)
+            .map(|id| ChainRequest::square(id, a.clone()))
+            .collect()
     };
 
-    let exact = SpgemmService::run_batch(ServiceConfig::default(), jobs(3));
-    let estimated = SpgemmService::run_batch(
+    let exact = SpgemmService::run_chains(ServiceConfig::default(), jobs(3));
+    let estimated = SpgemmService::run_chains(
         ServiceConfig::default().with_estimator(EstimatorConfig::default()),
         jobs(3),
     );
     assert!(exact.failures.is_empty(), "{:?}", exact.failures);
     assert!(estimated.failures.is_empty(), "{:?}", estimated.failures);
-    for (e, s) in exact.outcomes.iter().zip(&estimated.outcomes) {
+    for (e, s) in exact.chains.iter().zip(&estimated.chains) {
         assert_bit_identical(&e.result, &s.result, "estimated vs exact service");
     }
     // Estimated plans amortize exactly like exact ones: one miss, then hits.
@@ -353,6 +500,18 @@ fn estimator_enabled_service_matches_exact_results() {
         estimated.stats.cache
     );
     assert_eq!(estimated.stats.cache.hits, 2, "{:?}", estimated.stats.cache);
+
+    // Differential grid, estimator on: one-step and multi-step requests
+    // against the oracle and direct plan execution.
+    for reorder in [ReorderStrategy::None, ReorderStrategy::Degree] {
+        for workers in [1, 4] {
+            assert_matches_oracle_and_direct_plan(
+                Some(EstimatorConfig::default()),
+                reorder,
+                workers,
+            );
+        }
+    }
 }
 
 /// Reordering is invisible to callers: a service configured with any
@@ -361,13 +520,14 @@ fn estimator_enabled_service_matches_exact_results() {
 /// in the plan key keeps reordered plans from aliasing baseline plans.
 #[test]
 fn reordered_service_matches_baseline_results() {
-    use block_reorganizer::reorder::ReorderStrategy;
     let a = Arc::new(rmat(RmatConfig::graph500(9, 8, 41)).to_csr());
-    let jobs = |n: u64| -> Vec<JobRequest> {
-        (0..n).map(|id| JobRequest::square(id, a.clone())).collect()
+    let jobs = |n: u64| -> Vec<ChainRequest> {
+        (0..n)
+            .map(|id| ChainRequest::square(id, a.clone()))
+            .collect()
     };
 
-    let baseline = SpgemmService::run_batch(ServiceConfig::default(), jobs(3));
+    let baseline = SpgemmService::run_chains(ServiceConfig::default(), jobs(3));
     assert!(baseline.failures.is_empty(), "{:?}", baseline.failures);
     for strategy in [
         ReorderStrategy::Degree,
@@ -376,18 +536,26 @@ fn reordered_service_matches_baseline_results() {
         ReorderStrategy::Auto,
     ] {
         let reordered =
-            SpgemmService::run_batch(ServiceConfig::default().with_reorder(strategy), jobs(3));
+            SpgemmService::run_chains(ServiceConfig::default().with_reorder(strategy), jobs(3));
         assert!(
             reordered.failures.is_empty(),
             "{strategy:?}: {:?}",
             reordered.failures
         );
-        for (b, r) in baseline.outcomes.iter().zip(&reordered.outcomes) {
+        for (b, r) in baseline.chains.iter().zip(&reordered.chains) {
             assert_bit_identical(&b.result, &r.result, strategy.name());
         }
         // Reordered plans amortize like baseline ones: one miss, then hits.
         assert_eq!(reordered.stats.cache.misses, 1, "{strategy:?}");
         assert_eq!(reordered.stats.cache.hits, 2, "{strategy:?}");
+    }
+
+    // Differential grid, estimator off: one-step and multi-step requests
+    // against the oracle and direct plan execution.
+    for reorder in [ReorderStrategy::None, ReorderStrategy::Degree] {
+        for workers in [1, 4] {
+            assert_matches_oracle_and_direct_plan(None, reorder, workers);
+        }
     }
 }
 
@@ -400,8 +568,6 @@ fn reordered_service_matches_baseline_results() {
 /// stay byte-identical at 1, 2, 4, and 8 workers.
 #[test]
 fn eviction_stress_counters_are_deterministic_across_worker_counts() {
-    use br_workloads::Workload;
-
     const CAPACITY: usize = 2;
     const CHAIN_STEPS: u64 = 3; // square:3 → A², A⁴, A⁸ — all fresh structures
     const SINGLES: u64 = 7;
@@ -416,9 +582,9 @@ fn eviction_stress_counters_are_deterministic_across_worker_counts() {
         let config = ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, CAPACITY);
         let mut service = SpgemmService::start(config);
         for (k, a) in singles.iter().enumerate() {
-            assert!(service.submit(JobRequest::square(k as u64, a.clone())));
+            assert!(service.submit(ChainRequest::square(k as u64, a.clone())));
         }
-        assert!(service.submit_chain(ChainRequest::workload(
+        assert!(service.submit(ChainRequest::workload(
             SINGLES,
             Workload::Square {
                 k: CHAIN_STEPS as usize
@@ -431,8 +597,12 @@ fn eviction_stress_counters_are_deterministic_across_worker_counts() {
             "{workers} workers: {:?}",
             batch.failures
         );
-        assert_eq!(batch.outcomes.len(), SINGLES as usize);
-        assert_eq!(batch.chains.len(), 1);
+        // The singles are one-step requests 0..SINGLES; the chain is last.
+        assert_eq!(batch.chains.len(), SINGLES as usize + 1);
+        let (singles_out, chain_out) = batch.chains.split_at(SINGLES as usize);
+        assert!(singles_out.iter().all(|o| o.steps.len() == 1));
+        let chain = &chain_out[0];
+        assert_eq!(chain.id, SINGLES);
 
         // Every key is distinct → all misses; every insert past capacity
         // evicts exactly one plan.
@@ -443,16 +613,16 @@ fn eviction_stress_counters_are_deterministic_across_worker_counts() {
             (0, misses, misses - CAPACITY as u64, CAPACITY),
             "{workers} workers"
         );
-        assert_eq!(batch.chains[0].cache_hits(), 0, "{workers} workers");
+        assert_eq!(chain.cache_hits(), 0, "{workers} workers");
         assert_eq!(
-            batch.chains[0].structure_churn(),
+            chain.structure_churn(),
             CHAIN_STEPS as usize,
             "{workers} workers"
         );
 
         let job_results: Vec<CsrMatrix<f64>> =
-            batch.outcomes.iter().map(|o| o.result.clone()).collect();
-        let chain_result = (*batch.chains[0].result).clone();
+            singles_out.iter().map(|o| (*o.result).clone()).collect();
+        let chain_result = (*chain.result).clone();
         match &baseline {
             None => baseline = Some((job_results, chain_result)),
             Some((jobs0, chain0)) => {

@@ -184,6 +184,27 @@ fn structure_fingerprint(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>) -> u64 {
 }
 
 impl ChainProgram {
+    /// The one-step program of a single multiplication: `A * A` over the
+    /// one input `A` when `square`, else `A * B` over inputs `A`, `B`.
+    pub fn one_step(square: bool) -> ChainProgram {
+        let (inputs, b, label) = if square {
+            (vec!["A".into()], Operand::Input(0), "A*A")
+        } else {
+            (vec!["A".into(), "B".into()], Operand::Input(1), "A*B")
+        };
+        ChainProgram {
+            name: "multiply".into(),
+            inputs,
+            steps: vec![ChainStep {
+                label: label.into(),
+                a: Operand::Input(0),
+                transpose_a: false,
+                b,
+                post: Vec::new(),
+            }],
+        }
+    }
+
     /// Checks structural validity: at least one step, every operand
     /// reference resolvable (inputs in range, steps strictly earlier),
     /// prune tolerances finite and non-negative, labels unique.
@@ -383,6 +404,20 @@ mod tests {
         assert!(run.steps[0].fresh_structure);
         assert_eq!(run.steps[0].product_nnz, oracle.nnz());
         assert_eq!(run.steps[0].output_nnz, oracle.nnz());
+    }
+
+    #[test]
+    fn one_step_programs_multiply_their_inputs() {
+        let a = path_graph(6);
+        let b = Arc::new(a.map_values(|v| v * 2.0));
+        let square = ChainProgram::one_step(true);
+        assert_eq!(square.validate(), Ok(()));
+        let run = square.execute_reference(std::slice::from_ref(&a)).unwrap();
+        assert_eq!(*run.result, spgemm_gustavson(&a, &a).unwrap());
+        let multiply = ChainProgram::one_step(false);
+        let run = multiply.execute_reference(&[a.clone(), b.clone()]).unwrap();
+        assert_eq!(run.steps.len(), 1);
+        assert_eq!(*run.result, spgemm_gustavson(&a, &b).unwrap());
     }
 
     #[test]

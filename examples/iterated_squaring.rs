@@ -10,11 +10,9 @@
 //!
 //! Run with: `cargo run --release --example iterated_squaring`
 
-use blockreorg::gpu_sim::sim::GpuSimulator;
 use blockreorg::obs::Registry;
 use blockreorg::prelude::*;
-use blockreorg::service::chain::{execute_chain, register_chain_instruments, ChainRequest};
-use blockreorg::spgemm::accum::ScratchPool;
+use blockreorg::service::exec::Executor;
 use std::sync::Arc;
 
 fn main() {
@@ -30,27 +28,19 @@ fn main() {
     );
 
     let device = DeviceConfig::titan_xp();
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
     let registry = Arc::new(Registry::new());
-    let instruments = register_chain_instruments(&registry);
-    let cache = PlanCache::with_registry(16, registry.clone());
-
-    let request = ChainRequest::workload(0, Workload::Square { k }, &a);
-    let outcome = execute_chain(
+    let cache = Arc::new(PlanCache::with_registry(16, registry.clone()));
+    let exec = Executor::new(
         0,
-        &device,
-        &sim,
-        &cache,
-        &pool,
+        device.clone(),
+        cache,
+        registry,
         None,
         ReorderStrategy::None,
-        &instruments,
-        &registry,
-        request,
-        0.0,
-    )
-    .expect("square chain executes");
+    );
+
+    let request = ChainRequest::workload(0, Workload::Square { k }, &a);
+    let outcome = exec.run(request, 0.0).expect("square chain executes");
 
     for s in &outcome.steps {
         println!(

@@ -9,11 +9,9 @@
 //!
 //! Run with: `cargo run --release --example markov_clustering`
 
-use blockreorg::gpu_sim::sim::GpuSimulator;
 use blockreorg::obs::Registry;
 use blockreorg::prelude::*;
-use blockreorg::service::chain::{execute_chain, register_chain_instruments, ChainRequest};
-use blockreorg::spgemm::accum::ScratchPool;
+use blockreorg::service::exec::Executor;
 use blockreorg::workloads::planted_partition;
 use std::sync::Arc;
 
@@ -30,31 +28,23 @@ fn main() {
     );
 
     let device = DeviceConfig::titan_xp();
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
     let registry = Arc::new(Registry::new());
-    let instruments = register_chain_instruments(&registry);
-    let cache = PlanCache::with_registry(16, registry.clone());
+    let cache = Arc::new(PlanCache::with_registry(16, registry.clone()));
+    let exec = Executor::new(
+        0,
+        device.clone(),
+        cache,
+        registry,
+        None,
+        ReorderStrategy::None,
+    );
 
     let workload = Workload::Markov {
         iters: 6,
         tol: 0.05,
     };
     let request = ChainRequest::workload(0, workload, &a);
-    let outcome = execute_chain(
-        0,
-        &device,
-        &sim,
-        &cache,
-        &pool,
-        None,
-        ReorderStrategy::None,
-        &instruments,
-        &registry,
-        request,
-        0.0,
-    )
-    .expect("markov chain executes");
+    let outcome = exec.run(request, 0.0).expect("markov chain executes");
 
     for s in &outcome.steps {
         println!(

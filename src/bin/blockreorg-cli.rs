@@ -51,7 +51,7 @@
 use blockreorg::block_reorganizer::reorder::ReorderStrategy;
 use blockreorg::datasets::registry::ScaleFactor;
 use blockreorg::prelude::*;
-use blockreorg::service::job::{expand_jobs, parse_job_file};
+use blockreorg::service::job::{expand_requests, parse_job_file};
 use blockreorg::sparse::io::read_matrix_market_file;
 use blockreorg::spgemm::estimate::{set_global_estimator, EstimatorConfig, EstimatorOverride};
 use blockreorg::spgemm::pipeline::run_method;
@@ -211,8 +211,10 @@ fn print_usage() {
     println!("then prints per-phase latency, cache hit rate, and per-device utilization.");
     println!("Job-file lines: 'dataset=<name> [scale=<div>] [repeat=<n>]',");
     println!("'rmat=<scale,ef> [seed=<n>] [repeat=<n>]', or 'input=<mtx> [pair=<mtx>]';");
-    println!("'#' starts a comment. --queue-cap bounds the submission queue; jobs beyond");
-    println!("the bound are reported as failures instead of queued.");
+    println!("a 'chain=<workload>' key runs that workload over the line's matrix, one");
+    println!("output line per step. '#' starts a comment. --queue-cap bounds the");
+    println!("submission queue; jobs beyond the bound are reported as failures instead");
+    println!("of queued.");
     println!();
     println!("chain mode runs a multiplication workload — a DAG of SpGEMM steps with");
     println!("optional element-wise post-ops — through the plan-cached service executor");
@@ -741,7 +743,7 @@ fn run_batch_mode(o: BatchOptions) -> ! {
         .unwrap_or_else(|e| runtime_error(&format!("cannot read job file {path}: {e}")));
     let specs = parse_job_file(&text).unwrap_or_else(|e| runtime_error(&e));
     let jobs =
-        expand_jobs(&specs, ReorganizerConfig::default()).unwrap_or_else(|e| runtime_error(&e));
+        expand_requests(&specs, ReorganizerConfig::default()).unwrap_or_else(|e| runtime_error(&e));
 
     let mut devices: Vec<DeviceConfig> = o.devices.split(',').map(device_of).collect();
     if o.workers > 0 {
@@ -765,7 +767,7 @@ fn run_batch_mode(o: BatchOptions) -> ! {
     if o.metrics_timing {
         blockreorg::obs::install_wall_clock(blockreorg::obs::global());
     }
-    let batch = SpgemmService::run_batch(
+    let batch = SpgemmService::run_chains(
         ServiceConfig {
             devices,
             cache_capacity: o.cache,
@@ -779,16 +781,23 @@ fn run_batch_mode(o: BatchOptions) -> ! {
         },
         jobs,
     );
-    for outcome in &batch.outcomes {
-        println!(
-            "{:<24} worker {}  {}  {:>10.4} ms  {:>8.2} GFLOPS  nnz(C) = {}",
-            outcome.label,
-            outcome.worker,
-            if outcome.cache_hit { "hit " } else { "miss" },
-            outcome.total_ms,
-            outcome.gflops,
-            outcome.nnz_c
-        );
+    for outcome in &batch.chains {
+        for step in &outcome.steps {
+            let label = if outcome.steps.len() == 1 {
+                outcome.label.clone()
+            } else {
+                format!("{} {}", outcome.label, step.label)
+            };
+            println!(
+                "{:<24} worker {}  {}  {:>10.4} ms  {:>8.2} GFLOPS  nnz(C) = {}",
+                label,
+                outcome.worker,
+                if step.cache_hit { "hit " } else { "miss" },
+                step.total_ms,
+                step.gflops,
+                step.output_nnz
+            );
+        }
     }
     println!();
     print!("{}", batch.stats);
@@ -974,9 +983,7 @@ fn run_client_mode(o: ClientOptions) -> ! {
 /// fresh operand structure, and what each step cost.
 fn run_chain_mode(o: ChainOptions) -> ! {
     use blockreorg::bench::report::Table;
-    use blockreorg::gpu_sim::sim::GpuSimulator;
-    use blockreorg::service::chain::{self, ChainRequest};
-    use blockreorg::spgemm::accum::ScratchPool;
+    use blockreorg::service::exec::Executor;
     use blockreorg::workloads::{parse_chain_spec, Workload};
     use std::sync::Arc;
 
@@ -1030,10 +1037,7 @@ fn run_chain_mode(o: ChainOptions) -> ! {
     // Chain counters land in the process-wide registry, so one --metrics
     // dump covers the plan cache, the simulator, and the chain roll-up.
     let registry = blockreorg::obs::global_arc();
-    let instruments = chain::register_chain_instruments(&registry);
-    let cache = PlanCache::with_registry(o.cache, registry.clone());
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
+    let cache = Arc::new(PlanCache::with_registry(o.cache, registry.clone()));
     println!(
         "chain {}: {} steps on {}, plan cache {} entries\n",
         request.label,
@@ -1042,20 +1046,9 @@ fn run_chain_mode(o: ChainOptions) -> ! {
         o.cache
     );
 
-    let outcome = chain::execute_chain(
-        0,
-        &device,
-        &sim,
-        &cache,
-        &pool,
-        o.estimator,
-        o.reorder,
-        &instruments,
-        &registry,
-        request,
-        0.0,
-    )
-    .unwrap_or_else(|e| runtime_error(&format!("chain failed: {}", e.message)));
+    let outcome = Executor::new(0, device, cache, registry, o.estimator, o.reorder)
+        .run(request, 0.0)
+        .unwrap_or_else(|e| runtime_error(&format!("chain failed: {}", e.message)));
 
     let mut table = Table::new(vec![
         "step",

@@ -45,7 +45,7 @@ pub mod prelude {
     pub use br_datasets::rmat::{rmat, RmatConfig};
     pub use br_gpu_sim::device::DeviceConfig;
     pub use br_service::{
-        BatchOutcome, CacheStats, JobOutcome, JobRequest, PlanCache, PlanKey, ServiceConfig,
+        BatchOutcome, CacheStats, ChainOutcome, ChainRequest, PlanCache, PlanKey, ServiceConfig,
         ServiceStats, SpgemmService,
     };
     pub use br_sparse::ops::{multiply_flops, spgemm_gustavson};
