@@ -23,7 +23,8 @@
 //! [`ablate`] reruns it with each technique toggled for Figure 10.
 //! [`plan::ReorgPlan`] factors all structure-dependent preprocessing into a
 //! reusable, serializable artifact so a serving layer (`br-service`) can
-//! cache it and skip the analysis on repeated multiplications.
+//! cache it and skip the analysis on repeated multiplications; its
+//! [`memo::ProfileMemo`] lets a reused plan skip the simulation too.
 //!
 //! Extensions beyond the paper: [`report::WorkloadReport`] (the Figure 4
 //! bins, inspectable before running anything), [`classify::auto_alpha`]
@@ -41,6 +42,7 @@ pub mod classify;
 pub mod config;
 pub mod gather;
 pub mod limit;
+pub mod memo;
 pub mod pass;
 pub mod plan;
 pub mod reorder;

@@ -119,6 +119,14 @@ impl GpuSimulator {
         &self.device
     }
 
+    /// Records already-simulated profiles into the global observability
+    /// registry exactly as simulating them would have — the replay a
+    /// memoized execution uses so the deterministic `br_sim_*` families
+    /// count every launch it reports, simulated or not.
+    pub fn record_profiles(profiles: &[KernelProfile]) {
+        profiles.iter().for_each(record_profile);
+    }
+
     /// Runs one kernel on a cold L2.
     pub fn run(&self, launch: &KernelLaunch, layout: &MemoryLayout) -> KernelProfile {
         let mut l2 = L2Cache::for_device(&self.device);

@@ -6,9 +6,11 @@
 //! [`ProblemContext::from_shared`] → [`PlanKey::with_options`] →
 //! single-flight [`PlanCache::get_or_build`] → [`ReorgPlan::execute_with_scratch`],
 //! so every step gets its own estimator/reorder decision and its own cache
-//! hit or miss. `SpgemmService` workers, `br-net` server workers, the
-//! bench `chain` suite and the CLI `chain` mode each own one executor per
-//! worker thread.
+//! hit or miss. A hit executes the plan in `Cached` mode, which serves the
+//! simulated profiles from the plan's profile memo after its first hit, so
+//! the step's host cost is the numeric multiply. `SpgemmService` workers,
+//! `br-net` server workers, the bench `chain` suite and the CLI `chain`
+//! mode each own one executor per worker thread.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -126,7 +126,8 @@ echo "== quick determinism: report and metrics byte-identical across BR_THREADS=
 determinism quick run_suite
 # Sanity: the dump actually carries the pipeline's instruments.
 require quick.t8.prom br_sim_kernel_launches_total br_spgemm_rows_merged_total \
-    br_cache_hits_total br_jobs_submitted_total br_span_total
+    br_cache_hits_total br_jobs_submitted_total br_span_total \
+    br_sim_profile_memo_hits_total
 echo "ok: quick report and metrics are byte-identical across thread counts and reruns"
 
 echo "== baseline byte-identity: instrumentation must not move a single byte =="

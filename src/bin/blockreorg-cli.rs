@@ -718,11 +718,13 @@ fn report(name: &str, total_ms: f64, gflops: f64, nnz_c: usize) {
 /// `--metrics-timing` adds the timing families (queue depths, wall-clock
 /// histograms, span durations) for human inspection.
 fn write_metrics(path: &str, timing: bool) {
-    // Pre-register every merge, reorder, and chain instrument cell so the
-    // exported cell set is byte-identical whether or not the run exercised
-    // each bin, reorder strategy, or chain step.
+    // Pre-register every merge, reorder, profile-memo, and chain
+    // instrument cell so the exported cell set is byte-identical whether
+    // or not the run exercised each bin, reorder strategy, memo, or chain
+    // step.
     blockreorg::spgemm::accum::register_merge_instruments();
     blockreorg::block_reorganizer::reorder::register_reorder_instruments();
+    blockreorg::block_reorganizer::memo::register_memo_instruments();
     blockreorg::service::chain::register_chain_instruments(blockreorg::obs::global());
     let reg = blockreorg::obs::global();
     if let Err(e) = std::fs::write(path, reg.render_prometheus(timing)) {
