@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the real (host-executed) computational
-//! kernels: the CPU oracle, the three numeric mergers, symbolic analysis,
+//! kernels: the CPU oracle vs the host numeric engine, symbolic analysis,
 //! generators, classification/splitting preprocessing, and the L2
 //! simulator itself.
 //!
@@ -18,7 +18,7 @@ use br_gpu_sim::trace::{AccessPattern, MemSegment, MemoryLayout};
 use br_sparse::ops::{block_products, spgemm_gustavson, symbolic_nnz};
 use br_sparse::CsrMatrix;
 use br_spgemm::context::ProblemContext;
-use br_spgemm::numeric::{spgemm_dense_spa, spgemm_hash, spgemm_sort_reduce};
+use br_spgemm::numeric::{default_threads, spgemm_parallel};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -34,15 +34,16 @@ fn bench_numeric_mergers(c: &mut Criterion) {
     let a = skewed_input();
     let mut g = c.benchmark_group("numeric-mergers");
     g.sample_size(10);
-    g.bench_function("dense-spa", |b| {
-        b.iter(|| spgemm_dense_spa(black_box(&a), black_box(&a)).unwrap())
+    g.bench_function("gustavson-oracle", |b| {
+        b.iter(|| spgemm_gustavson(black_box(&a), black_box(&a)).unwrap())
     });
-    g.bench_function("sort-reduce", |b| {
-        b.iter(|| spgemm_sort_reduce(black_box(&a), black_box(&a)).unwrap())
-    });
-    g.bench_function("hash", |b| {
-        b.iter(|| spgemm_hash(black_box(&a), black_box(&a)).unwrap())
-    });
+    let mut thread_counts = vec![1, default_threads()];
+    thread_counts.dedup(); // one id per count on a single-core host
+    for threads in thread_counts {
+        g.bench_function(&format!("adaptive-{threads}t"), |b| {
+            b.iter(|| spgemm_parallel(black_box(&a), black_box(&a), threads).unwrap())
+        });
+    }
     g.finish();
 }
 

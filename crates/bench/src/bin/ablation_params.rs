@@ -16,7 +16,7 @@ use br_bench::report::{bar_chart, f2, maybe_write_json, Table};
 use br_datasets::registry::RealWorldRegistry;
 use br_gpu_sim::device::DeviceConfig;
 use br_spgemm::methods::ac_like;
-use br_spgemm::pipeline::{run_method, SpgemmMethod};
+use br_spgemm::pipeline::{run_launches, run_method, SpgemmMethod};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -93,7 +93,7 @@ fn main() {
     );
 
     // --- AC-spGEMM-like comparison ---
-    let ac = ac_like::run(&ctx, &dev).expect("valid shapes");
+    let ac = run_launches(&ctx, ac_like::NAME, &dev, ac_like::launches).expect("valid shapes");
     let reorg = BlockReorganizer::new(ReorganizerConfig::default())
         .multiply_ctx(&ctx, &dev)
         .expect("valid shapes");

@@ -17,7 +17,7 @@
 //! * **Device guard.** The memo records the [`DeviceConfig`] it was
 //!   simulated on. An execution on any other configuration (even one with
 //!   the same `name`) simulates afresh and leaves the memo untouched.
-//! * **Plan guard.** The memo also records a [`fingerprint`] of every plan
+//! * **Plan guard.** The memo also records a `fingerprint` of every plan
 //!   field the launch builders read (method, config, classification,
 //!   split / gather / limit plans, bins, permutation). Those fields are
 //!   public, so a plan may be edited after it ran; an execution whose

@@ -68,8 +68,7 @@ pub fn row_intermediate_nnz<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Re
 ///
 /// Rows are independent and assembled in index order, so the output is
 /// bit-identical to the sequential scan at any thread count. This is the
-/// weights pass every row-partitioned numeric merger and the adaptive
-/// engine's row binning share.
+/// weights pass of the adaptive numeric engine's row binning.
 pub fn row_intermediate_nnz_threaded<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,

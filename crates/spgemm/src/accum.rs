@@ -317,15 +317,6 @@ pub fn global_thresholds() -> Option<BinThresholds> {
     *GLOBAL_THRESHOLDS.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The thresholds in effect: the [`set_global_thresholds`] override when
-/// present, else [`BinThresholds::default`].
-pub fn effective_thresholds() -> BinThresholds {
-    GLOBAL_THRESHOLDS
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .unwrap_or_default()
-}
-
 /// The thresholds in effect for a problem with `ncols` output columns:
 /// the [`set_global_thresholds`] override when present, else
 /// [`BinThresholds::recommended`] for that width. Classification stays a
@@ -971,7 +962,7 @@ pub fn merge_rows_into<T: Scalar>(
 
 /// Adaptive row-binned spGEMM: classifies rows, then merges each through
 /// its bin's kernel over `threads` workers. Bit-identical to
-/// [`crate::numeric::spgemm_dense_spa`] at every thread count and
+/// [`br_sparse::ops::spgemm_gustavson`] at every thread count and
 /// threshold setting.
 pub fn spgemm_adaptive<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -1079,8 +1070,8 @@ pub fn spgemm_adaptive_planned<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::numeric::spgemm_dense_spa;
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_sparse::ops::spgemm_gustavson;
 
     /// The acceptance-criterion threshold settings plus the degenerate
     /// single-bin collapses — with and without the k-way bin.
@@ -1133,7 +1124,7 @@ mod tests {
     #[test]
     fn adaptive_is_bit_identical_across_thresholds_and_threads() {
         let a = rmat(RmatConfig::graph500(9, 8, 77)).to_csr();
-        let oracle = spgemm_dense_spa(&a, &a).unwrap();
+        let oracle = spgemm_gustavson(&a, &a).unwrap();
         for thresholds in threshold_grid() {
             for threads in [1usize, 2, 8] {
                 let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();
@@ -1146,7 +1137,7 @@ mod tests {
     fn adaptive_handles_rectangular_and_edge_cases() {
         let a = rmat(RmatConfig::uniform(6, 4, 1).with_dim(50).with_edges(150)).to_csr();
         let b = rmat(RmatConfig::uniform(6, 4, 2).with_dim(50).with_edges(120)).to_csr();
-        let oracle = spgemm_dense_spa(&a, &b).unwrap();
+        let oracle = spgemm_gustavson(&a, &b).unwrap();
         assert_eq!(
             spgemm_adaptive(&a, &b, 4, BinThresholds::default()).unwrap(),
             oracle
@@ -1162,7 +1153,7 @@ mod tests {
         let i = CsrMatrix::<f64>::identity(5);
         assert_eq!(
             spgemm_adaptive(&i, &i, 2, BinThresholds::default()).unwrap(),
-            spgemm_dense_spa(&i, &i).unwrap()
+            spgemm_gustavson(&i, &i).unwrap()
         );
 
         let bad = CsrMatrix::<f64>::zeros(2, 3);
@@ -1230,7 +1221,7 @@ mod tests {
         // the medium-bin hash. The initial 4-slot tables must grow mid-row
         // (instead of looping forever) and the output must stay bit-exact.
         let a = rmat(RmatConfig::graph500(8, 8, 41)).to_csr();
-        let oracle = spgemm_dense_spa(&a, &a).unwrap();
+        let oracle = spgemm_gustavson(&a, &a).unwrap();
         let all_medium = BinThresholds {
             tiny_max: 0,
             heavy_min: u64::MAX,
@@ -1256,7 +1247,7 @@ mod tests {
     fn planned_execution_with_pool_matches_and_recycles_scratch() {
         let a = rmat(RmatConfig::graph500(9, 8, 3)).to_csr();
         let bins = RowBins::of(&a, &a, BinThresholds::default()).unwrap();
-        let oracle = spgemm_dense_spa(&a, &a).unwrap();
+        let oracle = spgemm_gustavson(&a, &a).unwrap();
         let pool = ScratchPool::<f64>::new();
         for _ in 0..3 {
             let c = spgemm_adaptive_planned(&a, &a, 4, &bins, Some(&pool)).unwrap();
@@ -1388,10 +1379,16 @@ mod tests {
             heavy_min: 700,
             kway_min: 7000,
         };
+        let wide = 1 << 20;
         set_global_thresholds(Some(custom));
-        assert_eq!(effective_thresholds(), custom);
+        assert_eq!(global_thresholds(), Some(custom));
+        assert_eq!(effective_thresholds_for(wide), custom);
         set_global_thresholds(None);
-        assert_eq!(effective_thresholds(), BinThresholds::default());
+        assert_eq!(global_thresholds(), None);
+        assert_eq!(
+            effective_thresholds_for(wide),
+            BinThresholds::recommended(wide)
+        );
     }
 
     #[test]
@@ -1400,7 +1397,7 @@ mod tests {
         // the single-run fast path for every nonzero output row.
         let b = rmat(RmatConfig::graph500(8, 8, 19)).to_csr();
         let a = CsrMatrix::<f64>::identity(b.nrows()).map_values(|v| v * 2.5);
-        let oracle = spgemm_dense_spa(&a, &b).unwrap();
+        let oracle = spgemm_gustavson(&a, &b).unwrap();
         let all_kway = BinThresholds {
             tiny_max: 0,
             heavy_min: 0,
@@ -1423,7 +1420,7 @@ mod tests {
         let val: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.125).collect();
         let b = CsrMatrix::from_parts_unchecked(n, n, ptr, idx, val);
         let a = rmat(RmatConfig::uniform(6, 4, 9).with_dim(n).with_edges(400)).to_csr();
-        let oracle = spgemm_dense_spa(&a, &b).unwrap();
+        let oracle = spgemm_gustavson(&a, &b).unwrap();
         let all_kway = BinThresholds {
             tiny_max: 0,
             heavy_min: 0,
@@ -1449,7 +1446,7 @@ mod tests {
             heavy_min in 0u64..4096,
         ) {
             let a = rmat(RmatConfig::snap_like(8, 6, seed)).to_csr();
-            let oracle = spgemm_dense_spa(&a, &a).unwrap();
+            let oracle = spgemm_gustavson(&a, &a).unwrap();
             let thresholds = BinThresholds { tiny_max, heavy_min, kway_min: u64::MAX };
             let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();
             proptest::prop_assert_eq!(c, oracle);
@@ -1468,7 +1465,7 @@ mod tests {
             kway_sel in 0u64..4608,
         ) {
             let a = rmat(RmatConfig::snap_like(8, 6, seed)).to_csr();
-            let oracle = spgemm_dense_spa(&a, &a).unwrap();
+            let oracle = spgemm_gustavson(&a, &a).unwrap();
             let kway_min = if kway_sel >= 4096 { u64::MAX } else { kway_sel };
             let thresholds = BinThresholds { tiny_max, heavy_min, kway_min };
             let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();

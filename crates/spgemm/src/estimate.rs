@@ -699,7 +699,7 @@ mod tests {
             let bins = crate::accum::RowBins::classify(&est.row_products, thresholds);
             let planned =
                 crate::accum::spgemm_adaptive_planned(&a, &a, threads, &bins, None).unwrap();
-            let reference = crate::numeric::spgemm_dense_spa(&a, &a).unwrap();
+            let reference = br_sparse::ops::spgemm_gustavson(&a, &a).unwrap();
             proptest::prop_assert_eq!(planned, reference);
         }
     }

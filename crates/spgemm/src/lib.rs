@@ -1,9 +1,11 @@
 //! # br-spgemm — spGEMM kernels on the simulated GPU
 //!
-//! Implements every multiplication scheme the paper evaluates, all as
-//! *execution-driven* kernels: they compute the true numeric result in Rust
-//! while emitting [`br_gpu_sim`] cost traces, so simulated time reflects the
-//! algorithm's real memory and compute behaviour.
+//! Implements every multiplication scheme the paper evaluates as a
+//! simulated launch stream: each method emits [`br_gpu_sim`] cost traces
+//! built from the problem's real structure, so simulated time reflects the
+//! algorithm's memory and compute behaviour, while one host engine
+//! ([`numeric::spgemm_parallel`]) computes the true numeric result for all
+//! of them.
 //!
 //! Methods (Figure 8's seven bars, minus the Block Reorganizer which builds
 //! on this crate from `crates/core`):
@@ -23,16 +25,18 @@
 //!   upper-bound product count, small bins merged in shared memory, large
 //!   rows in global memory.
 //! * [`methods::mkl_like`] — multithreaded CPU Gustavson under an analytic
-//!   CPU cost model, in the same simulated-time domain.
+//!   CPU cost model, in the same simulated-time domain (no launches).
 //!
 //! Supporting modules: [`context`] (per-problem symbolic precomputation
 //! shared across methods), [`workspace`] (device-memory layout),
-//! [`expansion`] / [`merge`] (trace generators), [`numeric`] (three
-//! independent numeric mergers used to verify each method's arithmetic),
-//! [`accum`] (the adaptive row-binned host merge engine with reusable
-//! scratch), [`estimate`] (the seeded sampling estimator the planner uses
-//! for per-problem method selection and bin thresholds), and [`pipeline`]
-//! (the run orchestrator producing [`pipeline::SpgemmRun`]).
+//! [`expansion`] / [`merge`] (trace generators), [`numeric`] (the one host
+//! numeric engine every method's result comes from, checked against the
+//! `spgemm_gustavson` oracle), [`accum`] (that engine's adaptive row-binned
+//! merge with reusable scratch), [`estimate`] (the seeded sampling
+//! estimator the planner uses for per-problem method selection and bin
+//! thresholds), and [`pipeline`] (the run orchestrator producing
+//! [`pipeline::SpgemmRun`]: it computes the host result once and simulates
+//! the method's launches).
 
 #![warn(missing_docs)]
 

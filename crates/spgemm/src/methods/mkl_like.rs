@@ -8,22 +8,11 @@
 //! load imbalance across threads on skewed data.
 
 use crate::context::ProblemContext;
-use crate::numeric::{default_threads, spgemm_parallel};
-use crate::pipeline::SpgemmRun;
-use br_gpu_sim::device::{CpuConfig, DeviceConfig};
-use br_sparse::{Result, Scalar};
+use br_gpu_sim::device::CpuConfig;
+use br_sparse::Scalar;
 
-/// Runs the MKL-like CPU baseline. The `device` argument selects the host
-/// CPU paired with that GPU in Table I (we use the System 1 Xeon for all,
-/// as the paper's MKL bars do not vary by system).
-pub fn run<T: Scalar>(ctx: &ProblemContext<T>, _device: &DeviceConfig) -> Result<SpgemmRun<T>> {
-    run_on_cpu(ctx, &CpuConfig::xeon_e5_2640v4())
-}
-
-/// Runs the model against an explicit CPU configuration.
-pub fn run_on_cpu<T: Scalar>(ctx: &ProblemContext<T>, cpu: &CpuConfig) -> Result<SpgemmRun<T>> {
-    let result = spgemm_parallel(&ctx.a, &ctx.b, default_threads())?;
-
+/// Modelled time in ms of the multiplication on `cpu`.
+pub fn model_ms<T: Scalar>(ctx: &ProblemContext<T>, cpu: &CpuConfig) -> f64 {
     let macs = ctx.intermediate_total as f64;
     let clock_hz = cpu.clock_mhz as f64 * 1e6;
 
@@ -49,29 +38,23 @@ pub fn run_on_cpu<T: Scalar>(ctx: &ProblemContext<T>, cpu: &CpuConfig) -> Result
 
     // Imbalance stretches the critical path whichever resource binds: the
     // busiest thread finishes last and its memory traffic trails with it.
-    let total_ms = compute_s.max(memory_s) / efficiency.max(0.05) * 1e3;
-    Ok(SpgemmRun {
-        method: "MKL".to_string(),
-        result,
-        profiles: Vec::new(),
-        preprocess_ms: 0.0,
-        total_ms,
-        flops: ctx.flops,
-    })
+    compute_s.max(memory_s) / efficiency.max(0.05) * 1e3
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_gpu_sim::device::DeviceConfig;
 
     #[test]
     fn produces_correct_result_and_positive_time() {
         let a = rmat(RmatConfig::uniform(8, 6, 7)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let r = run(&ctx, &DeviceConfig::titan_xp()).unwrap();
+        let r = run_method(&ctx, SpgemmMethod::MklLike, &DeviceConfig::titan_xp()).unwrap();
         let oracle = br_sparse::ops::spgemm_gustavson(&a, &a).unwrap();
-        assert!(r.result.approx_eq(&oracle, 1e-9));
+        assert_eq!(r.result, oracle);
         assert!(r.total_ms > 0.0);
         assert!(r.profiles.is_empty());
     }
@@ -93,19 +76,20 @@ mod tests {
         let val = vec![1.0f64; idx.len()];
         let skewed = br_sparse::CsrMatrix::try_new(n, n, ptr, idx, val).unwrap();
         let ctx_s = ProblemContext::new(&skewed, &skewed).unwrap();
-        let rs = run(&ctx_s, &DeviceConfig::titan_xp()).unwrap();
+        let xeon = CpuConfig::xeon_e5_2640v4();
+        let rs = model_ms(&ctx_s, &xeon);
 
         let uniform = br_datasets::mesh::banded(n, 16, 2, 1).to_csr();
         let ctx_u = ProblemContext::new(&uniform, &uniform).unwrap();
-        let ru = run(&ctx_u, &DeviceConfig::titan_xp()).unwrap();
+        let ru = model_ms(&ctx_u, &xeon);
 
         // ms per byte of traffic must be worse for the skewed problem: its
         // critical path is one thread long.
         let traffic = |c: &ProblemContext<f64>| {
             (c.a.nnz() + c.b.nnz() + c.intermediate_total as usize + c.output_total) as f64
         };
-        let per_s = rs.total_ms / traffic(&ctx_s);
-        let per_u = ru.total_ms / traffic(&ctx_u);
+        let per_s = rs / traffic(&ctx_s);
+        let per_u = ru / traffic(&ctx_u);
         assert!(per_s > 2.0 * per_u, "{per_s} vs {per_u}");
     }
 
@@ -124,8 +108,6 @@ mod tests {
             mem_bandwidth_gbs: 120.0,
             ..CpuConfig::xeon_e5_2640v4()
         };
-        let rs = run_on_cpu(&ctx, &small).unwrap();
-        let rb = run_on_cpu(&ctx, &big).unwrap();
-        assert!(rb.total_ms < rs.total_ms);
+        assert!(model_ms(&ctx, &big) < model_ms(&ctx, &small));
     }
 }

@@ -11,14 +11,12 @@
 use crate::context::ProblemContext;
 use crate::expansion::outer::{outer_expansion_launch, DEFAULT_BLOCK_SIZE};
 use crate::merge::gustavson::gustavson_merge_launch;
-use crate::numeric::{default_threads, spgemm_parallel};
-use crate::pipeline::{assemble_run, SpgemmRun};
 use crate::workspace::Workspace;
-use br_gpu_sim::device::DeviceConfig;
-use br_sparse::{Result, Scalar};
+use br_sparse::Scalar;
 
 /// The method's kernel launches (expansion then merge) against a prepared
-/// workspace — shared by [`run`] and the planner's method dispatch.
+/// workspace — shared by [`crate::pipeline::run_method`] and the planner's
+/// method dispatch.
 pub fn launches<T: Scalar>(
     ctx: &ProblemContext<T>,
     ws: &Workspace,
@@ -29,26 +27,13 @@ pub fn launches<T: Scalar>(
     ]
 }
 
-/// Runs the outer-product baseline.
-pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<SpgemmRun<T>> {
-    let ws = Workspace::for_context(ctx);
-    let result = spgemm_parallel(&ctx.a, &ctx.b, default_threads())?;
-    Ok(assemble_run(
-        "outer-product",
-        result,
-        &launches(ctx, &ws),
-        &ws.layout,
-        device,
-        0.0,
-        ctx.flops,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_gpu_sim::device::DeviceConfig;
 
     #[test]
     fn expansion_lbi_collapses_on_skewed_data() {
@@ -61,8 +46,8 @@ mod tests {
         let regular = rmat(RmatConfig::uniform(11, 8, 8)).to_csr();
         let cs = ProblemContext::new(&skewed, &skewed).unwrap();
         let cr = ProblemContext::new(&regular, &regular).unwrap();
-        let rs = run(&cs, &dev).unwrap();
-        let rr = run(&cr, &dev).unwrap();
+        let rs = run_method(&cs, SpgemmMethod::OuterProduct, &dev).unwrap();
+        let rr = run_method(&cr, SpgemmMethod::OuterProduct, &dev).unwrap();
         let lbi_s = rs.profiles[0].lbi();
         let lbi_r = rr.profiles[0].lbi();
         assert!(
@@ -76,10 +61,10 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let a = rmat(RmatConfig::graph500(8, 8, 3)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let r = run(&ctx, &dev).unwrap();
+        let r = run_method(&ctx, SpgemmMethod::OuterProduct, &dev).unwrap();
         // The outer product's defining property (Section III): identical
         // work per thread. The row product on the same data diverges.
-        let row = crate::methods::row_product::run(&ctx, &dev).unwrap();
+        let row = run_method(&ctx, SpgemmMethod::RowProduct, &dev).unwrap();
         assert!(r.profiles[0].time_ms > 0.0);
         let _ = row;
     }

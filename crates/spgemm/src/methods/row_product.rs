@@ -8,19 +8,16 @@
 use crate::context::ProblemContext;
 use crate::expansion::row::row_expansion_launch;
 use crate::merge::gustavson::gustavson_merge_launch;
-use crate::numeric::{default_threads, spgemm_parallel};
-use crate::pipeline::{assemble_run, SpgemmRun};
 use crate::workspace::Workspace;
-use br_gpu_sim::device::DeviceConfig;
-use br_sparse::{Result, Scalar};
+use br_sparse::Scalar;
 
 /// Expansion/merge block size.
 pub const BLOCK_SIZE: u32 = 256;
 
 /// The method's kernel launches (expansion then merge) against a prepared
-/// workspace — shared by [`run`] and the planner's per-problem method
-/// dispatch (`ReorgPlan` executes the chosen method's launches while the
-/// host numeric path stays the adaptive engine).
+/// workspace — shared by [`crate::pipeline::run_method`] and the planner's
+/// per-problem method dispatch (`ReorgPlan` executes the chosen method's
+/// launches while the host numeric path stays the adaptive engine).
 pub fn launches<T: Scalar>(
     ctx: &ProblemContext<T>,
     ws: &Workspace,
@@ -31,30 +28,15 @@ pub fn launches<T: Scalar>(
     ]
 }
 
-/// Runs the row-product baseline.
-pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<SpgemmRun<T>> {
-    let ws = Workspace::for_context(ctx);
-    let result = spgemm_parallel(&ctx.a, &ctx.b, default_threads())?;
-    Ok(assemble_run(
-        "row-product",
-        result,
-        &launches(ctx, &ws),
-        &ws.layout,
-        device,
-        0.0,
-        ctx.flops,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_gpu_sim::device::DeviceConfig;
 
     #[test]
     fn skewed_data_diverges_lanes_uniform_does_not() {
-        use crate::expansion::row::row_expansion_launch;
-        use crate::workspace::Workspace;
         let uniform = rmat(RmatConfig::uniform(9, 8, 5)).to_csr();
         let skewed = rmat(RmatConfig::graph500(9, 8, 5)).to_csr();
         let mean_imbalance = |m: &br_sparse::CsrMatrix<f64>| {
@@ -83,7 +65,7 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let a = rmat(RmatConfig::uniform(7, 4, 2)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let r = run(&ctx, &dev).unwrap();
+        let r = run_method(&ctx, SpgemmMethod::RowProduct, &dev).unwrap();
         assert_eq!(r.profiles.len(), 2);
         assert!(r.profiles[0].name.contains("expansion"));
         assert!(r.profiles[1].name.contains("merge"));
